@@ -239,7 +239,9 @@ func BenchmarkFunctionalSmallCNN(b *testing.B) {
 // bit-identical across all of them (locked in by
 // core.TestParallelGoldenEquivalence); only wall-clock time changes. On a
 // multi-core host, workers=4 should run ≥ 2× faster than workers=1; on a
-// single-core CI runner the sub-benchmarks merely document the knob.
+// single-core CI runner the sub-benchmarks merely document the knob. A
+// warm-up run fills the System's cache pool first, so -benchmem reports
+// the steady-state allocation even at -benchtime=1x.
 func BenchmarkRunFunctional(b *testing.B) {
 	m := neuralcache.SmallCNN()
 	m.InitWeights(1)
@@ -255,6 +257,9 @@ func BenchmarkRunFunctional(b *testing.B) {
 			cfg.Workers = workers
 			sys, err := neuralcache.New(cfg)
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.Run(m, in); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

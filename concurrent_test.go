@@ -1,14 +1,17 @@
 package neuralcache
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
 
-// A System is immutable after New: Run and Estimate build all mutable
-// state (the simulated cache, the report) per call. These tests pin that
-// contract down by hammering one System from several goroutines; run them
-// under `go test -race` to turn any regression into a hard failure.
+// A System's configuration is immutable after New. Run and Estimate
+// build their mutable state per call; bit-exact runs lease simulated
+// caches from a pool the System keeps and return them reset. These tests
+// pin that contract down by hammering one System from several
+// goroutines; run them under `go test -race` to turn any regression into
+// a hard failure.
 
 func TestConcurrentRunSameSystem(t *testing.T) {
 	cfg := DefaultConfig()
@@ -103,5 +106,98 @@ func TestConcurrentRunAndEstimateSameSystem(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentRunAndRunWithFaultsSameSystem interleaves healthy and
+// faulty runs of two models on one System. Pooled caches pass between
+// them, so any defect, cell or counter a faulty run left behind would
+// show up in a later healthy run: every result must equal its
+// sequential counterpart.
+func TestConcurrentRunAndRunWithFaultsSameSystem(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Slices = 1
+	cfg.Workers = 2
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stuck cells across the first arrays both plans touch, and dead
+	// lanes on the array holding one of WideCNN's live output channels.
+	var faults []Fault
+	for lane := 0; lane < 256; lane += 7 {
+		faults = append(faults,
+			Fault{Array: lane % 8, Row: 79, Lane: lane, Kind: FaultStuckAt1},
+			Fault{Array: 5, Lane: lane, Kind: FaultDeadLane})
+	}
+	type job struct {
+		m      *Model
+		in     *Tensor
+		faulty bool
+		want   *InferenceResult
+	}
+	var jobs []job
+	for _, mdl := range []struct {
+		build func() *Model
+		seed  int64
+	}{{SmallCNN, 3}, {WideCNN, 1}} {
+		m := mdl.build()
+		m.InitWeights(mdl.seed)
+		h, w, c := m.InputShape()
+		in := NewTensor(h, w, c, 1.0/255)
+		for j := range in.Data {
+			in.Data[j] = uint8(j*7 + 1)
+		}
+		clean, err := sys.Run(m, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty, err := sys.RunWithFaults(m, in, faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(clean, dirty) {
+			t.Fatalf("%s: the faults changed nothing; the test would check nothing", m.Name())
+		}
+		jobs = append(jobs, job{m, in, false, clean}, job{m, in, true, dirty})
+	}
+
+	const goroutines, rounds = 4, 3
+	got := make([][]*InferenceResult, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				jb := jobs[(g+r)%len(jobs)]
+				var res *InferenceResult
+				var err error
+				if jb.faulty {
+					res, err = sys.RunWithFaults(jb.m, jb.in, faults)
+				} else {
+					res, err = sys.Run(jb.m, jb.in)
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], res)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for r, res := range got[g] {
+			jb := jobs[(g+r)%len(jobs)]
+			if !reflect.DeepEqual(res, jb.want) {
+				t.Errorf("goroutine %d round %d (%s, faulty %v): result differs from the sequential run",
+					g, r, jb.m.Name(), jb.faulty)
+			}
+		}
 	}
 }

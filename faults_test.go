@@ -2,6 +2,7 @@ package neuralcache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -66,6 +67,43 @@ func TestRunWithFaultsCorruptsHeavyCampaign(t *testing.T) {
 	}
 	if changed == 0 {
 		t.Error("heavy stuck-at campaign left every logit untouched")
+	}
+}
+
+// TestRunAfterFaultsMatchesFreshSystem: a System reuses its simulated
+// caches, so a Run after a faulty run on the same System must see none
+// of the injected defects — its result equals a fresh System's Run.
+func TestRunAfterFaultsMatchesFreshSystem(t *testing.T) {
+	sys, m, in := faultTestSetup(t)
+	// Stuck cells and dead lanes on arrays the SmallCNN plan touches:
+	// ordinals 0-3 hold the first convolution's groups, and rows 0-79
+	// hold its operands, products and accumulators.
+	var faults []Fault
+	for a := 0; a < 4; a++ {
+		for lane := a; lane < 256; lane += 5 {
+			faults = append(faults, Fault{Array: a, Row: 79 - a*20, Lane: lane, Kind: FaultStuckAt1})
+			faults = append(faults, Fault{Array: a, Row: 40 + a, Lane: lane / 2, Kind: FaultStuckAt0})
+		}
+		faults = append(faults, Fault{Array: a, Lane: 17 * a, Kind: FaultDeadLane})
+	}
+	fresh, _, _ := faultTestSetup(t)
+	want, err := fresh.Run(m, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty, err := sys.RunWithFaults(m, in, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(dirty.Logits, want.Logits) {
+		t.Fatal("the fault campaign left every logit untouched; it checks nothing")
+	}
+	got, err := sys.Run(m, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run after RunWithFaults differs from a fresh System's Run:\n got %+v\nwant %+v", got, want)
 	}
 }
 

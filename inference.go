@@ -58,16 +58,20 @@ func (r *InferenceResult) SliceDensity() float64 {
 
 // Run executes the model bit-accurately on simulated compute arrays. The
 // model must have weights (InitWeights) and the input must match its
-// shape. A layer's independent work groups run in parallel on
-// Config.Workers goroutines; convolutions whose effective channels exceed
-// 256 lanes spill across an array pair with the partial-sum reduction
-// routed over the modeled interconnect, so every bundled verification
-// model runs bit-accurately (Inception v3 remains Estimate-scale).
+// shape; otherwise Run returns an error. A layer's independent work
+// groups run in parallel on Config.Workers goroutines; convolutions
+// whose effective channels exceed 256 lanes spill across an array pair
+// with the partial-sum reduction routed over the modeled interconnect,
+// so every bundled verification model runs bit-accurately (Inception v3
+// remains Estimate-scale).
 //
-// Run is safe for concurrent use: each call simulates its own cache, and
-// the System itself is immutable.
+// Run is safe for concurrent use. Each call executes on a simulated
+// cache of its own, leased from a pool the System keeps: a finished run
+// resets the arrays it touched before returning the cache, so every call
+// starts on zeroed, fault-free arrays, and results never depend on
+// earlier or concurrent calls.
 func (s *System) Run(m *Model, in *Tensor) (*InferenceResult, error) {
-	if err := checkInputShape(m, in); err != nil {
+	if err := checkInput(m, in); err != nil {
 		return nil, err
 	}
 	res, err := s.core.RunFunctional(m.net, in.internal())
@@ -77,8 +81,16 @@ func (s *System) Run(m *Model, in *Tensor) (*InferenceResult, error) {
 	return newInferenceResult(res), nil
 }
 
-// checkInputShape rejects inputs that do not match the model.
-func checkInputShape(m *Model, in *Tensor) error {
+// checkInput rejects a nil input, one whose Data does not hold exactly
+// H·W·C bytes, and one that does not match the model's input shape.
+func checkInput(m *Model, in *Tensor) error {
+	if in == nil {
+		return fmt.Errorf("neuralcache: nil input tensor for model %s", m.Name())
+	}
+	if n := in.H * in.W * in.C; len(in.Data) != n {
+		return fmt.Errorf("neuralcache: input %dx%dx%d holds %d data bytes, want %d",
+			in.H, in.W, in.C, len(in.Data), n)
+	}
 	h, w, c := m.InputShape()
 	if in.H != h || in.W != w || in.C != c {
 		return fmt.Errorf("neuralcache: input %dx%dx%d, model %s expects %dx%dx%d",
@@ -140,9 +152,21 @@ type Fault struct {
 // RunWithFaults executes the model bit-accurately with hardware defects
 // injected before any data lands, for blast-radius studies: compare
 // against Run on the same input to see which outputs a defect corrupts.
+// A fault with an unknown kind, or a lane or row outside an array, is an
+// error.
 func (s *System) RunWithFaults(m *Model, in *Tensor, faults []Fault) (*InferenceResult, error) {
-	if err := checkInputShape(m, in); err != nil {
+	if err := checkInput(m, in); err != nil {
 		return nil, err
+	}
+	for i, f := range faults {
+		switch {
+		case f.Kind < FaultStuckAt0 || f.Kind > FaultDeadLane:
+			return nil, fmt.Errorf("neuralcache: fault %d has unknown kind %d", i, f.Kind)
+		case f.Lane < 0 || f.Lane >= sram.BitLines:
+			return nil, fmt.Errorf("neuralcache: fault %d lane %d outside [0,%d)", i, f.Lane, sram.BitLines)
+		case f.Kind != FaultDeadLane && (f.Row < 0 || f.Row >= sram.WordLines):
+			return nil, fmt.Errorf("neuralcache: fault %d row %d outside [0,%d)", i, f.Row, sram.WordLines)
+		}
 	}
 	inject := func(ordinal int, a *sram.Array) {
 		for _, f := range faults {
@@ -169,8 +193,12 @@ func (s *System) RunWithFaults(m *Model, in *Tensor, faults []Fault) (*Inference
 // RunReference executes the model on the host integer reference executor
 // — the oracle the in-cache engine is verified against. It returns the
 // same result type with zero cycle counters; System.Run must produce
-// byte-identical Output and Logits.
+// byte-identical Output and Logits. It rejects the inputs and models Run
+// rejects.
 func (m *Model) RunReference(in *Tensor) (*InferenceResult, error) {
+	if err := checkInput(m, in); err != nil {
+		return nil, err
+	}
 	out, tr, err := runReference(m.net, in.internal())
 	if err != nil {
 		return nil, err

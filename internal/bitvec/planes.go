@@ -29,8 +29,9 @@ func transpose8x8(x uint64) uint64 {
 
 // Pack64 transposes up to 64 n-bit elements into n bit-plane words: after
 // the call, bit l of planes[i] is bit i of vals[l]. Plane bits for lanes
-// at or beyond len(vals) are zero. n must be in [1, 64], len(vals) at
-// most 64, and len(planes) at least n.
+// at or beyond len(vals) are zero, and bits of vals at or above n are
+// ignored. n must be in [1, 64], len(vals) at most 64, and len(planes) at
+// least n.
 func Pack64(vals []uint64, n int, planes []uint64) {
 	for i := 0; i < n; i++ {
 		planes[i] = 0
@@ -45,6 +46,10 @@ func Pack64(vals []uint64, n int, planes []uint64) {
 			if rows > 8 {
 				rows = 8
 			}
+			if rows == 8 && lim == 8 {
+				pack8x8(vals[g*8:g*8+8], uint(8*b), planes[b*8:b*8+8], uint(8*g))
+				continue
+			}
 			var x uint64
 			for r := 0; r < rows; r++ {
 				x |= (vals[g*8+r] >> (8 * b) & 0xff) << (8 * r)
@@ -55,6 +60,29 @@ func Pack64(vals []uint64, n int, planes []uint64) {
 			}
 		}
 	}
+}
+
+// pack8x8 is Pack64's unrolled kernel for a full block: it transposes
+// byte `shift/8` of eight lanes into eight planes, at bit offset `at`.
+func pack8x8(v []uint64, shift uint, p []uint64, at uint) {
+	_, _ = v[7], p[7]
+	x := v[0]>>shift&0xff |
+		(v[1]>>shift&0xff)<<8 |
+		(v[2]>>shift&0xff)<<16 |
+		(v[3]>>shift&0xff)<<24 |
+		(v[4]>>shift&0xff)<<32 |
+		(v[5]>>shift&0xff)<<40 |
+		(v[6]>>shift&0xff)<<48 |
+		(v[7]>>shift&0xff)<<56
+	x = transpose8x8(x)
+	p[0] |= (x & 0xff) << at
+	p[1] |= (x >> 8 & 0xff) << at
+	p[2] |= (x >> 16 & 0xff) << at
+	p[3] |= (x >> 24 & 0xff) << at
+	p[4] |= (x >> 32 & 0xff) << at
+	p[5] |= (x >> 40 & 0xff) << at
+	p[6] |= (x >> 48 & 0xff) << at
+	p[7] |= (x >> 56) << at
 }
 
 // Unpack64 is the inverse of Pack64: it gathers bit i of each lane from

@@ -36,6 +36,52 @@ func TestPackPlanesMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPackPlanesNarrowWidths checks PackPlanes against the bit-by-bit
+// reference at every element width up to a byte, for lane counts on both
+// sides of each 8-lane block and 64-lane word boundary. Every value has
+// bits set at or above n, which must be ignored; planes are handed in
+// dirty and must be overwritten, and planes past n must stay untouched.
+func TestPackPlanesNarrowWidths(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	patterns := []struct {
+		name string
+		val  func(lane, n int) uint64
+	}{
+		{"random", func(_, n int) uint64 { return r.Uint64() | 1<<uint(n) }},
+		{"ones", func(int, int) uint64 { return ^uint64(0) }},
+		{"one bit", func(lane, n int) uint64 { return 1<<uint(lane%n) | 1<<uint(n+lane%3) }},
+	}
+	dirty := Vec256{0xdead, 0xbeef, 0xf00d, 0xcafe}
+	for n := 1; n <= 8; n++ {
+		for _, count := range []int{1, 7, 8, 9, 63, 64, 65, 128, 200, 255, 256} {
+			for _, p := range patterns {
+				vals := make([]uint64, count)
+				for l := range vals {
+					vals[l] = p.val(l, n)
+				}
+				got := make([]Vec256, 9)
+				for i := range got {
+					got[i] = dirty
+				}
+				want := make([]Vec256, n)
+				PackPlanes(vals, n, got)
+				PackPlanesRef(vals, n, want)
+				for i := 0; i < n; i++ {
+					if got[i] != want[i] {
+						t.Fatalf("%s n=%d count=%d plane %d:\n got %v\nwant %v",
+							p.name, n, count, i, got[i], want[i])
+					}
+				}
+				for i := n; i < len(got); i++ {
+					if got[i] != dirty {
+						t.Fatalf("%s n=%d count=%d: plane %d past n was written", p.name, n, count, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestUnpackPlanesMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {

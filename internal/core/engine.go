@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"neuralcache/internal/dram"
 	"neuralcache/internal/energy"
@@ -145,9 +146,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// System is a configured Neural Cache engine.
+// System is a configured Neural Cache engine. Its configuration is
+// immutable; the only state it keeps is a pool of simulated caches that
+// functional runs lease and return clean (see RunFunctionalFaulty), so a
+// System is safe for concurrent use.
 type System struct {
-	cfg Config
+	cfg    Config
+	caches sync.Pool // *runCache
 }
 
 // New builds a system, validating the configuration.
@@ -155,7 +160,14 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &System{cfg: cfg}, nil
+	s := &System{cfg: cfg}
+	s.caches.New = func() any {
+		return &runCache{
+			cache:   geometry.New(cfg.Geometry),
+			touched: make([]bool, cfg.Geometry.ComputeArrays()),
+		}
+	}
+	return s, nil
 }
 
 // Config returns the system configuration.

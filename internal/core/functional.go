@@ -116,6 +116,12 @@ func (s *System) RunFunctional(net *nn.Network, in *tensor.Quant) (*FunctionalRe
 
 // RunFunctionalFaulty is RunFunctional with defect injection: inject is
 // called once per compute array on first use, before any data lands.
+//
+// The run leases a simulated cache from the System's pool and returns it
+// once the run has finished, with or without an error, after resetting
+// every array the run touched (data, latches, counters and injected
+// faults). Every run therefore starts on zeroed, fault-free arrays, as on
+// a fresh geometry.New. A run that panics never returns its cache.
 func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject FaultInjector) (*FunctionalResult, error) {
 	if in.Shape != net.Input {
 		return nil, fmt.Errorf("core: input shape %v, network expects %v", in.Shape, net.Input)
@@ -123,39 +129,61 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
+	if err := net.CheckWeights(); err != nil {
+		return nil, err
+	}
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cache := geometry.New(s.cfg.Geometry)
+	rc := s.caches.Get().(*runCache)
 	f := &funcExec{
 		sys:     s,
-		cache:   cache,
+		cache:   rc.cache,
 		tr:      &nn.Trace{},
 		inject:  inject,
-		touched: make([]bool, s.cfg.Geometry.ComputeArrays()),
+		touched: rc.touched,
 		workers: workers,
 	}
 	f.skip.Enabled = s.cfg.SkipZeroSlices
 	out, err := f.seq(net.Layers, in)
+	stats := f.cache.Stats()
+	used := rc.reset()
+	s.caches.Put(rc)
 	if err != nil {
 		return nil, err
-	}
-	used := 0
-	for _, t := range f.touched {
-		if t {
-			used++
-		}
 	}
 	return &FunctionalResult{
 		Output:       out,
 		Trace:        f.tr,
-		Stats:        f.cache.Stats(),
+		Stats:        stats,
 		ArraysUsed:   used,
 		Fabric:       f.fabric,
 		FabricCycles: f.fabricCycles,
 		Skip:         f.skip,
 	}, nil
+}
+
+// runCache is a simulated cache leased to one functional run, with the
+// run's per-ordinal first-use table.
+type runCache struct {
+	cache   *geometry.Cache
+	touched []bool
+}
+
+// reset restores every array the last run touched to the zero state,
+// clears the first-use table and returns how many arrays the run
+// touched. Arrays the run never touched are still zero from an earlier
+// reset, or not yet allocated.
+func (rc *runCache) reset() (touched int) {
+	for i, t := range rc.touched {
+		if t {
+			rc.cache.ComputeArray(i).Reset()
+			rc.touched[i] = false
+			touched++
+		}
+	}
+	return touched
 }
 
 type funcExec struct {
@@ -188,11 +216,13 @@ type groupShare struct {
 	skipSaved     uint64 // compute cycles the elided slices would have cost
 }
 
-// arrayFor hands out the compute array with the given ordinal. Arrays are
-// not cleared between uses: every group fully overwrites the regions it
-// computes in, exactly as the stationary-filter schedule does. The caller
-// must own the ordinal (runGroups pins each ordinal to one worker per
-// section), which makes the first-touch bookkeeping race-free.
+// arrayFor hands out the compute array with the given ordinal. An array
+// is zero and fault-free at its first use in a run (the leased cache was
+// reset), and it is not cleared between the groups of a run that reuse
+// it: every group fully overwrites the regions it computes in, exactly
+// as the stationary-filter schedule does. The caller must own the
+// ordinal (runGroups pins each ordinal to one worker per section), which
+// makes the first-touch bookkeeping race-free.
 func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 	arr := f.cache.ComputeArray(ordinal)
 	if !f.touched[ordinal] {
@@ -204,6 +234,15 @@ func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 	return arr
 }
 
+// scratch is one runGroups worker's host-side staging buffers, reused
+// across the groups it runs. A group must not assume any content left by
+// the previous one.
+type scratch struct {
+	lanes  []uint64             // one element per lane of the group's arrays
+	planes [8]bitvec.Vec256     // one packed column of up to 8-bit elements
+	sums   [sram.BitLines]int64 // per-slot host sums
+}
+
 // runGroups executes nGroups independent work groups, each owning
 // arraysPerGroup consecutive compute arrays from the round-robin cursor,
 // across the worker pool. Scheduling is deterministic: group g gets the
@@ -212,7 +251,7 @@ func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 // to the same collision class and are pinned to one worker, which
 // processes them in ascending order. Every array therefore receives
 // exactly the sequential op stream, for any worker count.
-func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []*sram.Array, acct *groupShare) error) error {
+func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error) error {
 	if nGroups <= 0 {
 		return nil
 	}
@@ -244,6 +283,7 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 	errs := make([]error, nGroups)
 	run := func(worker int) {
 		arrs := make([]*sram.Array, arraysPerGroup)
+		sc := &scratch{lanes: make([]uint64, arraysPerGroup*sram.BitLines)}
 		for g := 0; g < nGroups; g++ {
 			if w > 1 && (g%cycle)%w != worker {
 				continue
@@ -251,7 +291,7 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 			for j := range arrs {
 				arrs[j] = f.arrayFor((start + g*arraysPerGroup + j) % n)
 			}
-			if err := fn(g, arrs, &shares[g]); err != nil {
+			if err := fn(g, arrs, &shares[g], sc); err != nil {
 				errs[g] = err
 				return
 			}
@@ -385,47 +425,24 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	lanesPerArray := min(L, sram.BitLines)
 	nGroups := (total + slotsPer - 1) / slotsPer
 	fabric := f.sys.cfg.Fabric
+	filters := packFilters(plan, c, out, slotsPer, nGroups)
 
 	skipZero := f.sys.cfg.SkipZeroSlices
-	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare) error {
+	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
 		base := g * slotsPer
 		slots := min(slotsPer, total-base)
-		// Flat lane columns across the group's arrays: array p stages the
+		// Flat lane column across the group's arrays: array p stages the
 		// 256-lane window [p·256, (p+1)·256).
-		filterFlat := make([]uint64, arraysPer*sram.BitLines)
-		inputFlat := make([]uint64, arraysPer*sram.BitLines)
-		inPlanes := make([]bitvec.Vec256, 8)
-		saHost := make([]int64, slots)
+		inputFlat := sc.lanes
+		inPlanes := sc.planes[:ab]
+		saHost := sc.sums[:slots]
+		clear(saHost)
 
-		// The gather pair assembles MAC step j's operand bytes lane by
-		// lane — separately, because the streamed-input MAC phase consumes
-		// fresh input bytes against filters that were staged once. The
+		// fillInput assembles MAC step j's input bytes lane by lane; the
 		// unsplit/unpacked layout keeps operands channel-contiguous in the
-		// tensors, so each slot's L lanes bulk-copy from one tensor row.
-		fillFilter := func(j int) {
-			for i := range filterFlat {
-				filterFlat[i] = 0
-			}
-			for slot := 0; slot < slots; slot++ {
-				_, _, m := decodeConv(base+slot, out)
-				dst := filterFlat[slot*L : slot*L+L]
-				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-					row := c.Filter.Data[(m*c.R*c.S+j)*c.Cin:]
-					for lane := 0; lane < min(L, c.Cin); lane++ {
-						dst[lane] = uint64(row[lane])
-					}
-					continue
-				}
-				for lane := 0; lane < L; lane++ {
-					pos, ch := operandIndex(plan, lane, j)
-					dst[lane] = uint64(filterByte(c, m, pos, ch))
-				}
-			}
-		}
+		// tensor, so each slot's L lanes bulk-copy from one tensor row.
 		fillInput := func(j int) {
-			for i := range inputFlat {
-				inputFlat[i] = 0
-			}
+			clear(inputFlat)
 			for slot := 0; slot < slots; slot++ {
 				e, fw, _ := decodeConv(base+slot, out)
 				h0 := e*c.Stride - c.PadH
@@ -450,9 +467,8 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 		}
 
 		for j := 0; j < plan.EffFilter; j++ {
-			fillFilter(j)
 			for p, arr := range arrs {
-				arr.WriteElements(lay.FilterRow()+wb*j, wb, filterFlat[p*sram.BitLines:(p+1)*sram.BitLines])
+				arr.WritePlanes(lay.FilterRow()+wb*j, wb, filters.at(g, j, p), sram.BitLines)
 			}
 			if !plan.InputStreamed {
 				fillInput(j)
@@ -487,8 +503,8 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 							}
 						}
 					}
-					bitvec.PackPlanes(vals, ab, inPlanes[:ab])
-					arr.WritePlanes(inRow, ab, inPlanes[:ab], sram.BitLines)
+					bitvec.PackPlanes(vals, ab, inPlanes)
+					arr.WritePlanes(inRow, ab, inPlanes, sram.BitLines)
 					plo := p * sram.BitLines
 					for slot := 0; slot < slots; slot++ {
 						lo := slot*L - plo
@@ -588,6 +604,99 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	})
 }
 
+// filterImages holds a convolution's filter operands, gathered and
+// packed into bit planes once per layer rather than once per group. Group
+// g stages the output channels m = (g·slotsPer + slot) mod Cout of its
+// slots, so its filter image repeats every Cout/gcd(Cout, slotsPer)
+// groups. A partial last group leaves the lanes beyond its slots zero,
+// so it gets an image of its own unless it falls in the first period.
+type filterImages struct {
+	period  int // images per repetition, at most the group count
+	partial int // a partial last group past the first period, or -1
+	stride  int // planes per image: EffFilter × arrays × wb
+	step    int // planes per MAC step: arrays × wb
+	wb      int // planes per MAC step and array
+	data    []bitvec.Vec256
+}
+
+// at returns the wb filter planes group g stages on its array p for MAC
+// step j.
+func (fi *filterImages) at(g, j, p int) []bitvec.Vec256 {
+	img := g % fi.period
+	if g == fi.partial {
+		img = fi.period
+	}
+	off := img*fi.stride + j*fi.step + p*fi.wb
+	return fi.data[off : off+fi.wb]
+}
+
+// packFilters gathers and packs the filter image of each distinct group
+// of a convolution. Every weight must fit the plan's WeightBits, the
+// check WriteElements would apply when staging it.
+func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, nGroups int) *filterImages {
+	L := plan.LanesPerConv
+	wb := plan.WeightBits
+	arrays := plan.ArraysPerConv
+	total := out.Elems()
+	fi := &filterImages{
+		period:  min(c.Cout/gcd(c.Cout, slotsPer), nGroups),
+		partial: -1,
+		step:    arrays * wb,
+		wb:      wb,
+	}
+	fi.stride = plan.EffFilter * fi.step
+	images := fi.period
+	if last := nGroups - 1; total%slotsPer != 0 && last >= fi.period {
+		fi.partial = last
+		images++
+	}
+	fi.data = make([]bitvec.Vec256, images*fi.stride)
+	flat := make([]uint64, arrays*sram.BitLines)
+	for img := 0; img < images; img++ {
+		g := img
+		if img == fi.period {
+			g = fi.partial
+		}
+		base := g * slotsPer
+		slots := min(slotsPer, total-base)
+		for j := 0; j < plan.EffFilter; j++ {
+			clear(flat)
+			for slot := 0; slot < slots; slot++ {
+				_, _, m := decodeConv(base+slot, out)
+				dst := flat[slot*L : slot*L+L]
+				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
+					row := c.Filter.Data[(m*c.R*c.S+j)*c.Cin:]
+					for lane := 0; lane < min(L, c.Cin); lane++ {
+						dst[lane] = uint64(row[lane])
+					}
+					continue
+				}
+				for lane := 0; lane < L; lane++ {
+					pos, ch := operandIndex(plan, lane, j)
+					dst[lane] = uint64(filterByte(c, m, pos, ch))
+				}
+			}
+			for lane, v := range flat {
+				if v>>uint(wb) != 0 {
+					panic(fmt.Sprintf("core: %s weight %#x at lane %d exceeds WeightBits=%d",
+						c.LayerName, v, lane, wb))
+				}
+			}
+			for p := 0; p < arrays; p++ {
+				bitvec.PackPlanes(flat[p*sram.BitLines:(p+1)*sram.BitLines], wb, fi.at(g, j, p))
+			}
+		}
+	}
+	return fi
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // decodeConv converts a flat convolution index to (e, f, m), matching the
 // reference executor's output order ((e·W + f)·C + m).
 func decodeConv(idx int, out tensor.Shape) (e, fw, m int) {
@@ -625,11 +734,11 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 	)
 
 	nGroups := (total + sram.BitLines - 1) / sram.BitLines
-	return out, f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare) error {
+	return out, f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare, sc *scratch) error {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, total-base)
-		col := make([]uint64, sram.BitLines)
+		col := sc.lanes
 		width := 8
 		if p.Kind == nn.AvgPool {
 			width = 16
@@ -637,9 +746,7 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 		arr.Zero(accRow, width, false)
 		for wpos := 0; wpos < plan.Window; wpos++ {
 			r, s := wpos/p.S, wpos%p.S
-			for i := range col {
-				col[i] = 0
-			}
+			clear(col)
 			for slot := 0; slot < slots; slot++ {
 				e, fw, ch := decodeConv(base+slot, placed.Out)
 				h := e*p.Stride - p.PadH + r
@@ -695,11 +802,12 @@ func (f *funcExec) residual(r *nn.Residual, x *tensor.Quant) (*tensor.Quant, err
 	qa, qb := nn.ResidualOperands(body, short)
 	sums := make([]int64, len(qa))
 	nGroups := (len(qa) + sram.BitLines - 1) / sram.BitLines
-	err = f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare) error {
+	err = f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, _ *groupShare, sc *scratch) error {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, len(qa)-base)
-		col := make([]uint64, sram.BitLines)
+		col := sc.lanes
+		clear(col[slots:])
 		for s := 0; s < slots; s++ {
 			col[s] = uint64(qa[base+s])
 		}
@@ -744,11 +852,12 @@ func (f *funcExec) batchNorm(b *nn.BatchNorm, x *tensor.Quant) (*tensor.Quant, e
 	skipZero := f.sys.cfg.SkipZeroSlices
 	nGroups := (total + sram.BitLines - 1) / sram.BitLines
 	err := f.recordSkip(b.Name(), func() error {
-		return f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, acct *groupShare) error {
+		return f.runGroups(nGroups, 1, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
 			arr := arrs[0]
 			base := g * sram.BitLines
 			slots := min(sram.BitLines, total-base)
-			col := make([]uint64, sram.BitLines)
+			col := sc.lanes
+			clear(col[slots:])
 			for s := 0; s < slots; s++ {
 				col[s] = uint64(x.Data[base+s])
 			}

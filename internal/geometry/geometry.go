@@ -122,12 +122,13 @@ func (a ArrayAddr) String() string {
 	return fmt.Sprintf("s%d/w%d/b%d/sa%d/a%d", a.Slice, a.Way, a.Bank, a.SubArray, a.Index)
 }
 
-// Cache is an instantiated cache: the full tree of compute arrays. Arrays
-// are allocated eagerly; a 35 MB cache costs about 40 MB of host memory,
-// so functional tests typically instantiate reduced geometries.
+// Cache is an instantiated cache: the full tree of compute arrays. Each
+// array is allocated on first access, zeroed, so a cache costs host
+// memory only for the arrays a run touches (8 KB each) plus one pointer
+// per array of the geometry: about 35 KB for the 35 MB Xeon E5.
 type Cache struct {
 	cfg    Config
-	arrays []sram.Array // flat, indexed by flatIndex
+	arrays []*sram.Array // flat, indexed by flatIndex; nil until first access
 }
 
 // New instantiates a cache for the geometry. It panics on an invalid
@@ -136,7 +137,7 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Cache{cfg: cfg, arrays: make([]sram.Array, cfg.TotalArrays())}
+	return &Cache{cfg: cfg, arrays: make([]*sram.Array, cfg.TotalArrays())}
 }
 
 // Config returns the cache's geometry.
@@ -159,8 +160,15 @@ func (c *Cache) flatIndex(a ArrayAddr) int {
 	return i
 }
 
-// Array returns the compute array at the address.
-func (c *Cache) Array(a ArrayAddr) *sram.Array { return &c.arrays[c.flatIndex(a)] }
+// Array returns the compute array at the address, allocating it on first
+// access.
+func (c *Cache) Array(a ArrayAddr) *sram.Array {
+	i := c.flatIndex(a)
+	if c.arrays[i] == nil {
+		c.arrays[i] = new(sram.Array)
+	}
+	return c.arrays[i]
+}
 
 // Addr recovers the structured address of flat array index i.
 func (c *Cache) Addr(i int) ArrayAddr {
@@ -204,11 +212,12 @@ func (c Config) ComputeArrayAddr(i int) ArrayAddr {
 	}
 }
 
-// ComputeArray returns the compute array with the given ordinal. The
-// method itself is safe for concurrent use (it only reads the cache
-// structure); distinct ordinals return distinct arrays, so callers that
-// partition ordinals between goroutines — as the parallel functional
-// engine does — never share an *sram.Array.
+// ComputeArray returns the compute array with the given ordinal. Calls on
+// distinct ordinals are safe for concurrent use: each ordinal owns its
+// own slot, which a first access fills with a fresh array, and distinct
+// ordinals return distinct arrays, so callers that partition ordinals
+// between goroutines — as the parallel functional engine does — never
+// share an *sram.Array. Concurrent calls on the same ordinal race.
 func (c *Cache) ComputeArray(ordinal int) *sram.Array {
 	return c.Array(c.cfg.ComputeArrayAddr(ordinal))
 }
@@ -245,16 +254,20 @@ func (c *Cache) IOWay() int { return c.cfg.WaysPerSlice - c.cfg.ReservedCPUWays 
 // all workers have quiesced.
 func (c *Cache) Stats() sram.Stats {
 	var s sram.Stats
-	for i := range c.arrays {
-		s.Add(c.arrays[i].Stats())
+	for _, a := range c.arrays {
+		if a != nil {
+			s.Add(a.Stats())
+		}
 	}
 	return s
 }
 
 // ResetStats clears every array's counters.
 func (c *Cache) ResetStats() {
-	for i := range c.arrays {
-		c.arrays[i].ResetStats()
+	for _, a := range c.arrays {
+		if a != nil {
+			a.ResetStats()
+		}
 	}
 }
 

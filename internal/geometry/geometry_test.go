@@ -89,6 +89,32 @@ func TestArrayIdentity(t *testing.T) {
 	}
 }
 
+// TestArraysAllocatedOnFirstAccess: a cache holds no array until one is
+// accessed, and a first access yields a zeroed array.
+func TestArraysAllocatedOnFirstAccess(t *testing.T) {
+	c := New(XeonE5())
+	allocated := func() int {
+		n := 0
+		for _, a := range c.arrays {
+			if a != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := allocated(); n != 0 {
+		t.Fatalf("a new cache holds %d arrays, want 0", n)
+	}
+	a := c.ComputeArray(4031)
+	if a.Stats().Total() != 0 || !a.PeekRow(0).IsZero() || a.FaultCount() != 0 {
+		t.Fatal("first access returned a used array")
+	}
+	c.Array(ArrayAddr{13, 19, 3, 1, 1})
+	if n := allocated(); n != 2 {
+		t.Fatalf("after two accesses the cache holds %d arrays, want 2", n)
+	}
+}
+
 func TestForEachComputeArraySkipsReservedWays(t *testing.T) {
 	cfg := XeonE5().WithSlices(2)
 	c := New(cfg)

@@ -141,6 +141,18 @@ func (n *Network) Validate() (err error) {
 	return nil
 }
 
+// CheckWeights reports an error when a convolution has no filter, which
+// is the state of every bundled network until InitWeights runs.
+// Executing a network needs weights; estimating it does not.
+func (n *Network) CheckWeights() error {
+	for _, p := range n.Convs() {
+		if c := p.Conv(); c.Filter == nil {
+			return fmt.Errorf("nn: %s of %s has no weights; call InitWeights", c.LayerName, n.Name)
+		}
+	}
+	return nil
+}
+
 // InitWeights populates every convolution with deterministic synthetic
 // weights (He-scaled Gaussians) and small biases, quantized to the
 // asymmetric unsigned scheme. Timing and data movement are shape-derived,

@@ -75,6 +75,9 @@ func RunQuant(n *Network, in *tensor.Quant, opts QuantOptions) (*tensor.Quant, *
 	if err := n.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if err := n.CheckWeights(); err != nil {
+		return nil, nil, err
+	}
 	tr := &Trace{}
 	if opts.CaptureActivations {
 		tr.Activations = make(map[string]*tensor.Quant)

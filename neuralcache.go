@@ -54,9 +54,12 @@
 // with the cross-array partial-sum reduction routed over the modeled
 // intra-slice bus, so wide networks run bit-accurately too.
 //
-// A System is immutable after New: Run, RunWithFaults and Estimate may be
-// called concurrently from multiple goroutines on the same System (each
-// call instantiates its own simulated cache).
+// A System's configuration is immutable after New: Run, RunWithFaults
+// and Estimate may be called concurrently from multiple goroutines on the
+// same System. Each bit-exact call runs on a simulated cache of its own,
+// leased from a pool the System keeps: arrays are allocated on first use,
+// reset after every call and reused, and results never depend on other
+// calls.
 //
 // # Building and testing
 //

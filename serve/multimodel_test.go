@@ -289,6 +289,29 @@ func TestServerUnknownModelRejected(t *testing.T) {
 	}
 }
 
+// TestBitExactServerSurvivesWeightlessModel: a request for a resident
+// model that never got InitWeights fails with an error response, and the
+// same Server keeps serving the other model.
+func TestBitExactServerSurvivesWeightlessModel(t *testing.T) {
+	small := neuralcache.SmallCNN()
+	small.InitWeights(3)
+	bare := neuralcache.SmallResNet()
+	srv, err := NewServer(NewBitExactBackend(newSystem(t, 1), small, bare), Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SubmitModel(context.Background(), bare.Name(), randomInput(bare, 5, 0)); err == nil {
+		t.Fatal("a request for a model without weights succeeded")
+	}
+	r, err := srv.SubmitModel(context.Background(), small.Name(), randomInput(small, 5, 1))
+	if err != nil || r.Result == nil {
+		t.Fatalf("the server stopped serving after a failed request: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // gateBackend is an analytic backend whose executions block until the
 // test releases the gate, pinning the server in a saturated state
 // deterministically. Each Execute announces itself on started before

@@ -143,7 +143,7 @@ const (
 // Fault is one injected defect, addressed by the functional engine's
 // compute-array ordinal.
 type Fault struct {
-	Array int // round-robin compute-array ordinal
+	Array int // round-robin compute-array ordinal: 288 per LLC slice
 	Row   int // word line (ignored for FaultDeadLane)
 	Lane  int // bit line
 	Kind  FaultKind
@@ -152,16 +152,19 @@ type Fault struct {
 // RunWithFaults executes the model bit-accurately with hardware defects
 // injected before any data lands, for blast-radius studies: compare
 // against Run on the same input to see which outputs a defect corrupts.
-// A fault with an unknown kind, or a lane or row outside an array, is an
-// error.
+// A fault with an unknown kind, an array ordinal outside the compute
+// arrays, or a lane or row outside an array, is an error.
 func (s *System) RunWithFaults(m *Model, in *Tensor, faults []Fault) (*InferenceResult, error) {
 	if err := checkInput(m, in); err != nil {
 		return nil, err
 	}
+	arrays := s.geometry().ComputeArrays()
 	for i, f := range faults {
 		switch {
 		case f.Kind < FaultStuckAt0 || f.Kind > FaultDeadLane:
 			return nil, fmt.Errorf("neuralcache: fault %d has unknown kind %d", i, f.Kind)
+		case f.Array < 0 || f.Array >= arrays:
+			return nil, fmt.Errorf("neuralcache: fault %d array %d outside [0,%d)", i, f.Array, arrays)
 		case f.Lane < 0 || f.Lane >= sram.BitLines:
 			return nil, fmt.Errorf("neuralcache: fault %d lane %d outside [0,%d)", i, f.Lane, sram.BitLines)
 		case f.Kind != FaultDeadLane && (f.Row < 0 || f.Row >= sram.WordLines):

@@ -117,6 +117,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{Array: 0, Row: -1, Lane: 3, Kind: FaultStuckAt0},
 		{Array: 0, Lane: -1, Kind: FaultDeadLane},
 		{Array: 0, Row: 3, Lane: 3, Kind: FaultKind(7)},
+		{Array: -1, Row: 3, Lane: 3, Kind: FaultStuckAt1},
+		{Array: 288, Lane: 3, Kind: FaultDeadLane},
+		{Array: 1 << 30, Row: 3, Lane: 3, Kind: FaultStuckAt0},
 	} {
 		if res, err := sys.RunWithFaults(m, good, []Fault{f}); err == nil || res != nil {
 			t.Errorf("RunWithFaults with %+v: result %v, error %v; want an error", f, res, err)

@@ -1,6 +1,10 @@
 package bitvec
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Bit-plane pack/unpack kernels.
 //
@@ -136,23 +140,59 @@ func PackPlanes(vals []uint64, n int, planes []Vec256) {
 	}
 }
 
-// UnpackPlanes is the inverse of PackPlanes: it reassembles up to 256
-// n-bit elements from n Vec256 bit planes. n must be in [1, 64],
-// len(vals) at most Bits, and len(planes) at least n.
-func UnpackPlanes(planes []Vec256, n int, vals []uint64) {
-	var pw [64]uint64
-	var lv [64]uint64
-	for w := 0; w*64 < len(vals); w++ {
-		lo := w * 64
-		hi := lo + 64
-		if hi > len(vals) {
-			hi = len(vals)
+// PackBytes is PackPlanes for byte lanes, the form operands take in a
+// quantized tensor: it transposes up to 256 bytes into n bit planes, bit
+// line l of planes[i] being bit i of vals[l]. Bits of vals at or above n
+// are ignored, and lanes at or beyond len(vals) are zero in every plane.
+// Each 8-lane block is one little-endian word load and one 8×8 bit
+// transpose, which leaves the block's byte of every plane in one word;
+// an 8×8 byte transpose then gathers a 64-lane word's planes, in
+// registers. An all-zero block (padding, lanes past a layer's channels)
+// costs only the load. n must be in [1, 8], len(vals) at most Bits, and
+// len(planes) at least n.
+func PackBytes(vals []byte, n int, planes []Vec256) {
+	if n < 1 || n > 8 || len(vals) > Bits {
+		panic(fmt.Sprintf("bitvec: PackBytes of %d lanes at width %d", len(vals), n))
+	}
+	planes = planes[:n]
+	for w := 0; w < Words; w++ {
+		// x[g] holds block g's transpose: byte c is plane c of lanes
+		// 64w+8g … 64w+8g+7.
+		var x [8]uint64
+		for g := range x {
+			lo := w*64 + g*8
+			var v uint64
+			if lo+8 <= len(vals) {
+				v = binary.LittleEndian.Uint64(vals[lo:])
+			} else {
+				for r := lo; r < len(vals); r++ {
+					v |= uint64(vals[r]) << (8 * (r - lo))
+				}
+			}
+			if v != 0 {
+				x[g] = transpose8x8(v)
+			}
 		}
-		for i := 0; i < n; i++ {
-			pw[i] = planes[i][w]
+		// Byte transpose: 4-, 2- and 1-byte block swaps between words
+		// 4, 2 and 1 apart leave plane c in x[c].
+		for g := 0; g < 4; g++ {
+			t := (x[g]>>32 ^ x[g+4]) & 0x00000000FFFFFFFF
+			x[g] ^= t << 32
+			x[g+4] ^= t
 		}
-		Unpack64(pw[:n], n, lv[:hi-lo])
-		copy(vals[lo:hi], lv[:hi-lo])
+		for _, g := range [4]int{0, 1, 4, 5} {
+			t := (x[g]>>16 ^ x[g+2]) & 0x0000FFFF0000FFFF
+			x[g] ^= t << 16
+			x[g+2] ^= t
+		}
+		for g := 0; g < 8; g += 2 {
+			t := (x[g]>>8 ^ x[g+1]) & 0x00FF00FF00FF00FF
+			x[g] ^= t << 8
+			x[g+1] ^= t
+		}
+		for i := range planes {
+			planes[i][w] = x[i]
+		}
 	}
 }
 
@@ -165,17 +205,6 @@ func PackPlanesRef(vals []uint64, n int, planes []Vec256) {
 			v = v.SetBit(l, uint(val>>uint(i))&1)
 		}
 		planes[i] = v
-	}
-}
-
-// UnpackPlanesRef is the bit-by-bit specification of UnpackPlanes.
-func UnpackPlanesRef(planes []Vec256, n int, vals []uint64) {
-	for l := range vals {
-		var val uint64
-		for i := 0; i < n; i++ {
-			val |= uint64(planes[i].Bit(l)) << uint(i)
-		}
-		vals[l] = val
 	}
 }
 

@@ -139,15 +139,14 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 	rc := s.caches.Get().(*runCache)
 	f := &funcExec{
 		sys:     s,
-		cache:   rc.cache,
+		rc:      rc,
 		tr:      &nn.Trace{},
 		inject:  inject,
-		touched: rc.touched,
 		workers: workers,
 	}
 	f.skip.Enabled = s.cfg.SkipZeroSlices
 	out, err := f.seq(net.Layers, in)
-	stats := f.cache.Stats()
+	stats := rc.cache.Stats()
 	used := rc.reset()
 	s.caches.Put(rc)
 	if err != nil {
@@ -165,10 +164,28 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 }
 
 // runCache is a simulated cache leased to one functional run, with the
-// run's per-ordinal first-use table.
+// run's per-ordinal first-use table. It also carries the host buffers
+// the runs that lease it reuse, each grown on demand: one scratch per
+// worker index, the group ledgers of a parallel section and a
+// convolution's raw accumulators.
 type runCache struct {
 	cache   *geometry.Cache
 	touched []bool
+	scratch []*scratch
+	shares  []groupShare
+	errs    []error
+	accs    []int64
+}
+
+// zeroed returns buf resliced to n zero elements, reallocating it when
+// its capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // reset restores every array the last run touched to the zero state,
@@ -188,10 +205,9 @@ func (rc *runCache) reset() (touched int) {
 
 type funcExec struct {
 	sys     *System
-	cache   *geometry.Cache
+	rc      *runCache // leased cache, first-use table and worker scratch
 	tr      *nn.Trace
-	next    int    // round-robin compute array cursor (ordinal)
-	touched []bool // per-ordinal first-use marker (injection + ArraysUsed)
+	next    int // round-robin compute array cursor (ordinal)
 	inject  FaultInjector
 	workers int
 
@@ -224,9 +240,9 @@ type groupShare struct {
 // ordinal (runGroups pins each ordinal to one worker per section), which
 // makes the first-touch bookkeeping race-free.
 func (f *funcExec) arrayFor(ordinal int) *sram.Array {
-	arr := f.cache.ComputeArray(ordinal)
-	if !f.touched[ordinal] {
-		f.touched[ordinal] = true
+	arr := f.rc.cache.ComputeArray(ordinal)
+	if !f.rc.touched[ordinal] {
+		f.rc.touched[ordinal] = true
 		if f.inject != nil {
 			f.inject(ordinal, arr)
 		}
@@ -234,13 +250,37 @@ func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 	return arr
 }
 
-// scratch is one runGroups worker's host-side staging buffers, reused
-// across the groups it runs. A group must not assume any content left by
-// the previous one.
+// scratch is one runGroups worker's host-side staging buffers. The
+// leased runCache keeps one per worker index, so the buffers are reused
+// across the groups, layers and runs that worker index executes; a group
+// must not rely on any content left by an earlier group, layer or run.
 type scratch struct {
-	lanes  []uint64             // one element per lane of the group's arrays
-	planes [8]bitvec.Vec256     // one packed column of up to 8-bit elements
-	sums   [sram.BitLines]int64 // per-slot host sums
+	arrs   []*sram.Array         // the group's arrays
+	lanes  []uint64              // one element per lane of the group's arrays
+	bytes  []byte                // one byte per lane of the group's arrays
+	planes [8]bitvec.Vec256      // one packed column of up to 8-bit elements
+	sums   [sram.BitLines]int64  // per-slot host sums
+	origin [sram.BitLines]window // per-slot window origin
+}
+
+// window is one output slot's receptive-field origin (top-left input
+// row and column, before padding is clipped) and channel.
+type window struct{ h, w, ch int }
+
+// sized re-slices the buffers to the lanes of k arrays, growing them
+// when k exceeds every earlier group size. Callers rely on the exact
+// lengths: len(lanes) is the lane count a group stages.
+func (sc *scratch) sized(k int) *scratch {
+	n := k * sram.BitLines
+	if cap(sc.lanes) < n {
+		sc.arrs = make([]*sram.Array, k)
+		sc.lanes = make([]uint64, n)
+		sc.bytes = make([]byte, n)
+	}
+	sc.arrs = sc.arrs[:k]
+	sc.lanes = sc.lanes[:n]
+	sc.bytes = sc.bytes[:n]
+	return sc
 }
 
 // runGroups executes nGroups independent work groups, each owning
@@ -255,7 +295,7 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 	if nGroups <= 0 {
 		return nil
 	}
-	n := len(f.touched)
+	n := len(f.rc.touched)
 	if arraysPerGroup > n {
 		return fmt.Errorf("core: a work group needs %d arrays, cache has only %d compute arrays",
 			arraysPerGroup, n)
@@ -279,11 +319,15 @@ func (f *funcExec) runGroups(nGroups, arraysPerGroup int, fn func(g int, arrs []
 	}
 	cycle := n / arraysPerGroup
 
-	shares := make([]groupShare, nGroups)
-	errs := make([]error, nGroups)
+	f.rc.shares = zeroed(f.rc.shares, nGroups)
+	f.rc.errs = zeroed(f.rc.errs, nGroups)
+	shares, errs := f.rc.shares, f.rc.errs
+	for len(f.rc.scratch) < w {
+		f.rc.scratch = append(f.rc.scratch, new(scratch))
+	}
 	run := func(worker int) {
-		arrs := make([]*sram.Array, arraysPerGroup)
-		sc := &scratch{lanes: make([]uint64, arraysPerGroup*sram.BitLines)}
+		sc := f.rc.scratch[worker].sized(arraysPerGroup)
+		arrs := sc.arrs
 		for g := 0; g < nGroups; g++ {
 			if w > 1 && (g%cycle)%w != worker {
 				continue
@@ -405,8 +449,15 @@ func (f *funcExec) recordSkip(name string, fn func() error) error {
 // transposed, run R'·S' MulAccs, an in-array Σq_a pass, and the log₂
 // reduction trees; a spilled convolution then ships each partner array's
 // segment sums to the lead array over the intra-slice bus and finishes
-// the add in-array. Finally the group reads back ACC and Σq_a and applies
-// the correction zero_w·Σq_a and bias.
+// the add in-array. Finally the group reads back ACC and Σq_a from every
+// slot's first lane in one strided read each and applies the correction
+// zero_w·Σq_a and bias.
+//
+// Inputs stay bytes on the host, as the TMU would see them: each MAC
+// step's operands are copied from the tensor into the worker's byte
+// column, checked against ActBits, and packed straight into bit planes
+// (bitvec.PackBytes) for WritePlanes, in the resident and the streamed
+// layout alike. Each slot's window origin is decoded once per group.
 func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quant, bias []int32) ([]int64, error) {
 	L := plan.LanesPerConv
 	lay := plan.Layout
@@ -414,7 +465,10 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	ab := plan.ActBits
 	out := c.OutShape(x.Shape)
 	total := out.H * out.W * c.Cout
-	accs := make([]int64, total)
+	// FinishConv consumes the accumulators before the next layer runs,
+	// so one pooled buffer serves every convolution of the run.
+	f.rc.accs = zeroed(f.rc.accs, total)
+	accs := f.rc.accs
 	zw := int64(c.Filter.Zero)
 
 	arraysPer := plan.ArraysPerConv
@@ -426,42 +480,55 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	nGroups := (total + slotsPer - 1) / slotsPer
 	fabric := f.sys.cfg.Fabric
 	filters := packFilters(plan, c, out, slotsPer, nGroups)
+	plain := plan.PackFactor == 1 && plan.SplitFactor == 1
 
 	skipZero := f.sys.cfg.SkipZeroSlices
 	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
 		base := g * slotsPer
 		slots := min(slotsPer, total-base)
-		// Flat lane column across the group's arrays: array p stages the
+		// Flat byte column across the group's arrays: array p stages the
 		// 256-lane window [p·256, (p+1)·256).
-		inputFlat := sc.lanes
+		col := sc.bytes
 		inPlanes := sc.planes[:ab]
 		saHost := sc.sums[:slots]
 		clear(saHost)
+		origin := sc.origin[:slots]
+		for slot := range origin {
+			e, fw, _ := decodeConv(base+slot, out)
+			origin[slot] = window{h: e*c.Stride - c.PadH, w: fw*c.Stride - c.PadW}
+		}
 
-		// fillInput assembles MAC step j's input bytes lane by lane; the
-		// unsplit/unpacked layout keeps operands channel-contiguous in the
-		// tensor, so each slot's L lanes bulk-copy from one tensor row.
-		fillInput := func(j int) {
-			clear(inputFlat)
-			for slot := 0; slot < slots; slot++ {
-				e, fw, _ := decodeConv(base+slot, out)
-				h0 := e*c.Stride - c.PadH
-				w0 := fw*c.Stride - c.PadW
-				dst := inputFlat[slot*L : slot*L+L]
-				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-					h, wd := h0+j/c.S, w0+j%c.S
-					if h < 0 || h >= x.Shape.H || wd < 0 || wd >= x.Shape.W {
-						continue
+		// gather assembles MAC step j's input bytes; the unsplit/unpacked
+		// layout keeps operands channel-contiguous in the tensor, so each
+		// slot's lanes copy from one tensor row. Every byte must fit the
+		// staged width ActBits.
+		gather := func(j int) {
+			clear(col)
+			if plain {
+				r, s, cin := j/c.S, j%c.S, min(L, c.Cin)
+				H, W, C := x.Shape.H, x.Shape.W, x.Shape.C
+				for slot, o := range origin {
+					h, wd := o.h+r, o.w+s
+					if h >= 0 && h < H && wd >= 0 && wd < W {
+						at := (h*W + wd) * C
+						copy(col[slot*L:slot*L+cin], x.Data[at:at+cin])
 					}
-					row := x.Data[(h*x.Shape.W+wd)*x.Shape.C:]
-					for lane := 0; lane < min(L, c.Cin); lane++ {
-						dst[lane] = uint64(row[lane])
-					}
-					continue
 				}
-				for lane := 0; lane < L; lane++ {
-					pos, ch := operandIndex(plan, lane, j)
-					dst[lane] = uint64(inputByte(c, x, h0, w0, pos, ch))
+			} else {
+				for slot, o := range origin {
+					dst := col[slot*L : slot*L+L]
+					for lane := range dst {
+						pos, ch := operandIndex(plan, lane, j)
+						dst[lane] = inputByte(c, x, o.h, o.w, pos, ch)
+					}
+				}
+			}
+			if ab < 8 {
+				for lane, v := range col {
+					if v>>uint(ab) != 0 {
+						panic(fmt.Sprintf("core: %s input %#x at lane %d exceeds ActBits=%d",
+							c.LayerName, v, lane, ab))
+					}
 				}
 			}
 		}
@@ -471,9 +538,10 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				arr.WritePlanes(lay.FilterRow()+wb*j, wb, filters.at(g, j, p), sram.BitLines)
 			}
 			if !plan.InputStreamed {
-				fillInput(j)
+				gather(j)
 				for p, arr := range arrs {
-					arr.WriteElements(lay.InputRow()+ab*j, ab, inputFlat[p*sram.BitLines:(p+1)*sram.BitLines])
+					bitvec.PackBytes(col[p*sram.BitLines:(p+1)*sram.BitLines], ab, inPlanes)
+					arr.WritePlanes(lay.InputRow()+ab*j, ab, inPlanes, sram.BitLines)
 				}
 			}
 		}
@@ -491,19 +559,10 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				// into the host's Σq_a by popcounting each plane over the
 				// slot's lane window (Σ 2^i · ones(plane_i)) — the word-
 				// packed replacement for a per-lane accumulation loop.
-				fillInput(j)
+				gather(j)
 				inRow = lay.InputRow()
 				for p, arr := range arrs {
-					vals := inputFlat[p*sram.BitLines : (p+1)*sram.BitLines]
-					if ab < 8 {
-						for lane, v := range vals {
-							if v>>uint(ab) != 0 {
-								panic(fmt.Sprintf("core: %s input %#x at lane %d exceeds ActBits=%d",
-									c.LayerName, v, lane, ab))
-							}
-						}
-					}
-					bitvec.PackPlanes(vals, ab, inPlanes)
+					bitvec.PackBytes(col[p*sram.BitLines:(p+1)*sram.BitLines], ab, inPlanes)
 					arr.WritePlanes(inRow, ab, inPlanes, sram.BitLines)
 					plo := p * sram.BitLines
 					for slot := 0; slot < slots; slot++ {
@@ -565,38 +624,37 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 		// Inter-array reduce (§IV-D) for spilled convolutions: ship each
 		// partner array's segment sums to the lead array over the
 		// intra-slice bus and finish the adds in-array on the lead.
-		if len(arrs) > 1 {
-			lead := arrs[0]
-			for _, partner := range arrs[1:] {
-				part := partner.ReadElement(0, lay.PartialRow(), 32)
-				acct.cycles += fabric.BusCycles(&acct.traffic, 4, false)
-				lead.Zero(lay.ReduceRow(), 32, false)
-				lead.WriteElement(0, lay.ReduceRow(), 32, part)
-				lead.AddTrunc(lay.PartialRow(), lay.ReduceRow(), lay.PartialRow(), 32)
-				if !plan.InputStreamed {
-					sa := partner.ReadElement(0, lay.ScratchRow(), 24)
-					acct.cycles += fabric.BusCycles(&acct.traffic, 3, false)
-					lead.Zero(lay.ReduceRow(), 24, false)
-					lead.WriteElement(0, lay.ReduceRow(), 24, sa)
-					lead.AddTrunc(lay.ScratchRow(), lay.ReduceRow(), lay.ScratchRow(), 24)
-				}
+		lead := arrs[0]
+		for _, partner := range arrs[1:] {
+			part := partner.ReadElement(0, lay.PartialRow(), 32)
+			acct.cycles += fabric.BusCycles(&acct.traffic, 4, false)
+			lead.Zero(lay.ReduceRow(), 32, false)
+			lead.WriteElement(0, lay.ReduceRow(), 32, part)
+			lead.AddTrunc(lay.PartialRow(), lay.ReduceRow(), lay.PartialRow(), 32)
+			if !plan.InputStreamed {
+				sa := partner.ReadElement(0, lay.ScratchRow(), 24)
+				acct.cycles += fabric.BusCycles(&acct.traffic, 3, false)
+				lead.Zero(lay.ReduceRow(), 24, false)
+				lead.WriteElement(0, lay.ReduceRow(), 24, sa)
+				lead.AddTrunc(lay.ScratchRow(), lay.ReduceRow(), lay.ScratchRow(), 24)
 			}
 		}
 
-		// Read back and apply the correction and bias. A spilled
-		// convolution's result lives on lane 0 of the lead array.
-		for slot := 0; slot < slots; slot++ {
-			_, _, m := decodeConv(base+slot, out)
-			acc := int64(arrs[0].ReadElement(slot*L%sram.BitLines, lay.PartialRow(), 32))
-			var sa int64
-			if plan.InputStreamed {
-				sa = saHost[slot]
-			} else {
-				sa = int64(arrs[0].ReadElement(slot*L%sram.BitLines, lay.ScratchRow(), 24))
+		// Read back and apply the correction and bias. Each slot's sums
+		// sit on its first lane; a spilled convolution's on lane 0 of the
+		// lead array.
+		read := sc.lanes[:slots]
+		if !plan.InputStreamed {
+			lead.ReadLanes(lay.ScratchRow(), 24, 0, lanesPerArray, read)
+			for slot, v := range read {
+				saHost[slot] = int64(v)
 			}
-			acc -= zw * sa
+		}
+		lead.ReadLanes(lay.PartialRow(), 32, 0, lanesPerArray, read)
+		for slot, v := range read {
+			acc := int64(v) - zw*saHost[slot]
 			if bias != nil {
-				acc += int64(bias[m])
+				acc += int64(bias[(base+slot)%c.Cout])
 			}
 			accs[base+slot] = acc
 		}
@@ -631,8 +689,8 @@ func (fi *filterImages) at(g, j, p int) []bitvec.Vec256 {
 }
 
 // packFilters gathers and packs the filter image of each distinct group
-// of a convolution. Every weight must fit the plan's WeightBits, the
-// check WriteElements would apply when staging it.
+// of a convolution, straight from the filter bytes. Every weight must fit
+// the plan's WeightBits.
 func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, nGroups int) *filterImages {
 	L := plan.LanesPerConv
 	wb := plan.WeightBits
@@ -651,7 +709,7 @@ func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPe
 		images++
 	}
 	fi.data = make([]bitvec.Vec256, images*fi.stride)
-	flat := make([]uint64, arrays*sram.BitLines)
+	flat := make([]byte, arrays*sram.BitLines)
 	for img := 0; img < images; img++ {
 		g := img
 		if img == fi.period {
@@ -662,18 +720,15 @@ func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPe
 		for j := 0; j < plan.EffFilter; j++ {
 			clear(flat)
 			for slot := 0; slot < slots; slot++ {
-				_, _, m := decodeConv(base+slot, out)
+				m := (base + slot) % c.Cout
 				dst := flat[slot*L : slot*L+L]
 				if plan.PackFactor == 1 && plan.SplitFactor == 1 {
-					row := c.Filter.Data[(m*c.R*c.S+j)*c.Cin:]
-					for lane := 0; lane < min(L, c.Cin); lane++ {
-						dst[lane] = uint64(row[lane])
-					}
+					copy(dst[:min(L, c.Cin)], c.Filter.Data[(m*c.R*c.S+j)*c.Cin:])
 					continue
 				}
-				for lane := 0; lane < L; lane++ {
+				for lane := range dst {
 					pos, ch := operandIndex(plan, lane, j)
-					dst[lane] = uint64(filterByte(c, m, pos, ch))
+					dst[lane] = filterByte(c, m, pos, ch)
 				}
 			}
 			for lane, v := range flat {
@@ -683,7 +738,7 @@ func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPe
 				}
 			}
 			for p := 0; p < arrays; p++ {
-				bitvec.PackPlanes(flat[p*sram.BitLines:(p+1)*sram.BitLines], wb, fi.at(g, j, p))
+				bitvec.PackBytes(flat[p*sram.BitLines:(p+1)*sram.BitLines], wb, fi.at(g, j, p))
 			}
 		}
 	}
@@ -738,7 +793,12 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, total-base)
-		col := sc.lanes
+		col := sc.bytes
+		origin := sc.origin[:slots]
+		for slot := range origin {
+			e, fw, ch := decodeConv(base+slot, placed.Out)
+			origin[slot] = window{h: e*p.Stride - p.PadH, w: fw*p.Stride - p.PadW, ch: ch}
+		}
 		width := 8
 		if p.Kind == nn.AvgPool {
 			width = 16
@@ -747,15 +807,14 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 		for wpos := 0; wpos < plan.Window; wpos++ {
 			r, s := wpos/p.S, wpos%p.S
 			clear(col)
-			for slot := 0; slot < slots; slot++ {
-				e, fw, ch := decodeConv(base+slot, placed.Out)
-				h := e*p.Stride - p.PadH + r
-				w := fw*p.Stride - p.PadW + s
+			for slot, o := range origin {
+				h, w := o.h+r, o.w+s
 				if h >= 0 && h < x.Shape.H && w >= 0 && w < x.Shape.W {
-					col[slot] = uint64(x.At(h, w, ch))
+					col[slot] = x.At(h, w, o.ch)
 				}
 			}
-			arr.WriteElements(inRow, 8, col)
+			bitvec.PackBytes(col, 8, sc.planes[:])
+			arr.WritePlanes(inRow, 8, sc.planes[:], sram.BitLines)
 			if p.Kind == nn.MaxPool {
 				arr.Max(accRow, inRow, accRow, scrRow, 8)
 			} else {
@@ -771,16 +830,19 @@ func (f *funcExec) pool(p *nn.Pool, x *tensor.Quant) (*tensor.Quant, error) {
 			if plan.DivideShift >= 0 {
 				arr.Copy(accRow+plan.DivideShift, quotRow, 8, false)
 			} else {
-				for i := range col {
-					col[i] = uint64(plan.Window)
+				div := sc.lanes
+				for i := range div {
+					div[i] = uint64(plan.Window)
 				}
-				arr.WriteElements(divRow, 16, col)
+				arr.WriteElements(divRow, 16, div)
 				arr.Divide(accRow, divRow, quotRow, remRow, scrRow, 16)
 			}
 			resultRow = quotRow
 		}
-		for slot := 0; slot < slots; slot++ {
-			out.Data[base+slot] = uint8(arr.ReadElement(slot, resultRow, 8))
+		read := sc.lanes[:slots]
+		arr.ReadLanes(resultRow, 8, 0, 1, read)
+		for slot, v := range read {
+			out.Data[base+slot] = uint8(v)
 		}
 		return nil
 	})
@@ -806,19 +868,16 @@ func (f *funcExec) residual(r *nn.Residual, x *tensor.Quant) (*tensor.Quant, err
 		arr := arrs[0]
 		base := g * sram.BitLines
 		slots := min(sram.BitLines, len(qa)-base)
-		col := sc.lanes
-		clear(col[slots:])
-		for s := 0; s < slots; s++ {
-			col[s] = uint64(qa[base+s])
-		}
-		arr.WriteElements(0, 8, col)
-		for s := 0; s < slots; s++ {
-			col[s] = uint64(qb[base+s])
-		}
-		arr.WriteElements(8, 8, col)
+		// Lanes past the slots stage zero, as the packer leaves them.
+		bitvec.PackBytes(qa[base:base+slots], 8, sc.planes[:])
+		arr.WritePlanes(0, 8, sc.planes[:], sram.BitLines)
+		bitvec.PackBytes(qb[base:base+slots], 8, sc.planes[:])
+		arr.WritePlanes(8, 8, sc.planes[:], sram.BitLines)
 		arr.Add(0, 8, 16, 8)
-		for s := 0; s < slots; s++ {
-			sums[base+s] = int64(arr.ReadElement(s, 16, 9))
+		read := sc.lanes[:slots]
+		arr.ReadLanes(16, 9, 0, 1, read)
+		for s, v := range read {
+			sums[base+s] = int64(v)
 		}
 		return nil
 	})
@@ -899,8 +958,10 @@ func (f *funcExec) batchNorm(b *nn.BatchNorm, x *tensor.Quant) (*tensor.Quant, e
 			if b.ReLU {
 				arr.ReLU(yRow, 32)
 			}
-			for s := 0; s < slots; s++ {
-				accs[base+s] = int64(int32(uint32(arr.ReadElement(s, yRow, 32))))
+			read := col[:slots]
+			arr.ReadLanes(yRow, 32, 0, 1, read)
+			for s, v := range read {
+				accs[base+s] = int64(int32(uint32(v)))
 			}
 			return nil
 		})

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
+	"neuralcache/internal/mapping"
 	"neuralcache/internal/nn"
+	"neuralcache/internal/tensor"
 )
 
 // Precision-proportional execution: a 4-bit-weight model must run
@@ -108,5 +113,81 @@ func TestMACCyclesWidths(t *testing.T) {
 	// ActBits+1 cycles each.
 	if got, want := c.MACCyclesWidthsDensity(4, 0.5), c.MACCyclesWidths(4)-18; got != want {
 		t.Errorf("MACCyclesWidthsDensity(4, 0.5) = %d, want %d", got, want)
+	}
+}
+
+// actBits4Net is a two-layer net whose first convolution declares 4-bit
+// activations: a 3×3 convolution keeps its inputs resident, a 1×1 over
+// several channels packs them and streams its inputs.
+func actBits4Net(streamed bool) *nn.Network {
+	first := &nn.Conv2D{LayerName: "narrow", LayerGroup: "narrow", R: 3, S: 3, Cin: 4, Cout: 8,
+		Stride: 1, PadH: 1, PadW: 1, ReLU: true, ActBits: 4}
+	in := tensor.Shape{H: 6, W: 6, C: 4}
+	if streamed {
+		first = &nn.Conv2D{LayerName: "narrow", LayerGroup: "narrow", R: 1, S: 1, Cin: 8, Cout: 8,
+			Stride: 1, ReLU: true, ActBits: 4}
+		in.C = 8
+	}
+	return &nn.Network{
+		Name:  "act4",
+		Input: in,
+		Layers: []nn.Layer{
+			first,
+			&nn.Conv2D{LayerName: "logits", LayerGroup: "logits", R: 1, S: 1, Cin: 8, Cout: 3,
+				Stride: 1, IsLogits: true},
+		},
+	}
+}
+
+// TestActBits4MatchesReference drives a 4-bit-activation convolution
+// through the engine in both input layouts: staged at 4 bits it must
+// still reproduce the integer reference bit for bit, and an input byte
+// wider than 4 bits must panic before it is packed.
+func TestActBits4MatchesReference(t *testing.T) {
+	for _, streamed := range []bool{false, true} {
+		sys := smallSystem(t)
+		net := actBits4Net(streamed)
+		net.InitWeights(5)
+		placed := net.Flatten()[0]
+		plan, err := mapping.PlanConv(sys.Config().Mapping, placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.InputStreamed != streamed || plan.ActBits != 4 {
+			t.Fatalf("streamed=%v: plan has InputStreamed=%v ActBits=%d", streamed, plan.InputStreamed, plan.ActBits)
+		}
+		in := randQuant(net.Input, 9)
+		for i := range in.Data {
+			in.Data[i] &= 0x0f
+		}
+		refOut, refTr, err := nn.RunQuant(net, in, nn.QuantOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.RunFunctional(net, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Output.Data, refOut.Data) || !slices.Equal(got.Trace.Logits, refTr.Logits) {
+			t.Fatalf("streamed=%v: in-cache logits %v, reference %v", streamed, got.Trace.Logits, refTr.Logits)
+		}
+
+		// One worker, so the panic surfaces on this goroutine.
+		cfg := sys.Config()
+		cfg.Workers = 1
+		seq, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Data[len(in.Data)/2] = 0x10
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "exceeds ActBits=4") {
+					t.Errorf("streamed=%v: over-width input panicked with %q, want an ActBits panic", streamed, msg)
+				}
+			}()
+			seq.RunFunctional(net, in)
+		}()
 	}
 }

@@ -177,3 +177,39 @@ func TestPackedFiltersCheckWeightBits(t *testing.T) {
 	}()
 	_, _ = smallSystem(t).RunFunctional(net, randQuant(net.Input, 77))
 }
+
+// TestPooledScratchAfterSpill runs layers that stage a group's full lane
+// count (batch-norm operands, a non-power-of-two average-pool divisor)
+// after a spilled convolution has grown the pooled worker scratch to an
+// array pair: the buffers must shrink back to one array's lanes, on the
+// first run and on a second run that reuses them.
+func TestPooledScratchAfterSpill(t *testing.T) {
+	net := &nn.Network{
+		Name:  "spill_then_stage",
+		Input: tensor.Shape{H: 5, W: 5, C: 300},
+		Layers: []nn.Layer{
+			&nn.Conv2D{LayerName: "wide", LayerGroup: "wide", R: 3, S: 3, Cin: 300, Cout: 4, Stride: 1},
+			&nn.BatchNorm{LayerName: "bn", LayerGroup: "bn", Channels: 4, Gamma: 0.5,
+				Beta: []float32{0.1, -0.2, 0, 0.3}, ReLU: true},
+			&nn.Pool{LayerName: "gap", LayerGroup: "gap", Kind: nn.AvgPool, R: 3, S: 3, Stride: 1},
+			&nn.Conv2D{LayerName: "logits", LayerGroup: "logits", R: 1, S: 1, Cin: 4, Cout: 3,
+				Stride: 1, IsLogits: true},
+		},
+	}
+	net.InitWeights(31)
+	in := randQuant(net.Input, 37)
+	ref, refTr, err := nn.RunQuant(net, in, nn.QuantOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := smallSystem(t)
+	for run := 0; run < 2; run++ {
+		got, err := sys.RunFunctional(net, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Output.Data, ref.Data) || !reflect.DeepEqual(got.Trace.Logits, refTr.Logits) {
+			t.Fatalf("run %d: logits %v, reference %v", run, got.Trace.Logits, refTr.Logits)
+		}
+	}
+}

@@ -205,11 +205,15 @@ func (a *Array) WritePlanes(base, n int, planes []bitvec.Vec256, lanes int) {
 	if lanes < 0 || lanes > BitLines {
 		panic(fmt.Sprintf("sram: WritePlanes lane count %d outside [0,%d]", lanes, BitLines))
 	}
+	a.stats.AccessCycles += uint64(n)
+	if a.faults == nil && lanes == BitLines {
+		copy(a.rows[base:base+n], planes[:n])
+		return
+	}
 	mask := bitvec.Mask(lanes)
 	for i := 0; i < n; i++ {
 		a.setRow(base+i, planes[i].Select(a.rows[base+i], mask))
 	}
-	a.stats.AccessCycles += uint64(n)
 }
 
 // WriteElements stores the same-shaped n-bit value per lane for the first
@@ -234,7 +238,8 @@ func (a *Array) WriteElements(base, n int, vals []uint64) {
 }
 
 // ReadElements reads count n-bit elements from lanes [0, count), LSB at
-// row base.
+// row base. It is the stride-1 case of ReadLanes' gather, charged as a
+// whole-row read: one access cycle per row, whatever the lane count.
 func (a *Array) ReadElements(base, n, count int) []uint64 {
 	if count > BitLines {
 		panic(fmt.Sprintf("sram: %d values exceed %d bit lines", count, BitLines))
@@ -242,9 +247,84 @@ func (a *Array) ReadElements(base, n, count int) []uint64 {
 	checkElemWidth("ReadElements", n)
 	checkRows("ReadElements", base, n)
 	vals := make([]uint64, count)
-	bitvec.UnpackPlanes(a.rows[base:base+n], n, vals)
+	a.gatherLanes(base, n, 0, 1, vals)
 	a.stats.AccessCycles += uint64(n)
 	return vals
+}
+
+// ReadLanes reads len(out) n-bit elements, LSB at row base, from bit
+// lines first, first+stride, first+2·stride, … into out. It charges n
+// access cycles per element, exactly what as many ReadElement calls
+// charge, so a per-lane readback loop becomes one call without moving
+// the cycle ledger.
+func (a *Array) ReadLanes(base, n, first, stride int, out []uint64) {
+	checkElemWidth("ReadLanes", n)
+	checkRows("ReadLanes", base, n)
+	if len(out) == 0 {
+		return
+	}
+	if stride < 1 {
+		panic(fmt.Sprintf("sram: ReadLanes stride %d below 1", stride))
+	}
+	checkLane(first)
+	checkLane(first + (len(out)-1)*stride)
+	a.gatherLanes(base, n, first, stride, out)
+	a.stats.AccessCycles += uint64(n * len(out))
+}
+
+// gatherLanes is the read kernel behind ReadLanes and ReadElements; it
+// charges nothing. For power-of-two strides below 64 it works a 64-lane
+// window at a time: each row's window word is realigned to the window's
+// first lane, its every stride-th bit is compressed to the low end, and
+// Unpack64 transposes the compressed words into elements. Other strides
+// gather each element's bits row by row.
+func (a *Array) gatherLanes(base, n, first, stride int, out []uint64) {
+	rows := a.rows[base : base+n]
+	if stride >= 64 || stride&(stride-1) != 0 {
+		for k := range out {
+			lane := first + k*stride
+			w, off := lane>>6, uint(lane&63)
+			var v uint64
+			for i := range rows {
+				v |= (rows[i][w] >> off & 1) << uint(i)
+			}
+			out[k] = v
+		}
+		return
+	}
+	// Compression step t moves runs of g = 2^t kept bits down by
+	// g·(stride−1), pairing them into runs of 2g at every multiple of
+	// 2g·stride; masks[t] keeps those runs.
+	var sel uint64
+	for pos := 0; pos < 64; pos += stride {
+		sel |= 1 << uint(pos)
+	}
+	var masks [6]uint64
+	steps := 0
+	for g := 1; stride > 1 && g*stride < 64; g *= 2 {
+		for pos := 0; pos < 64; pos += 2 * g * stride {
+			masks[steps] |= (1<<uint(2*g) - 1) << uint(pos)
+		}
+		steps++
+	}
+	per := 64 / stride
+	var pw [64]uint64
+	for lo := 0; lo < len(out); lo += per {
+		lane := first + lo*stride
+		w, off := lane>>6, uint(lane&63)
+		for i := range rows {
+			x := rows[i][w] >> off
+			if off != 0 && w+1 < bitvec.Words {
+				x |= rows[i][w+1] << (64 - off)
+			}
+			x &= sel
+			for t := 0; t < steps; t++ {
+				x = (x | x>>uint((1<<t)*(stride-1))) & masks[t]
+			}
+			pw[i] = x
+		}
+		bitvec.Unpack64(pw[:n], n, out[lo:min(lo+per, len(out))])
+	}
 }
 
 func checkLane(lane int) {

@@ -1,6 +1,10 @@
 package sram
 
-import "fmt"
+import (
+	"fmt"
+
+	"neuralcache/internal/bitvec"
+)
 
 // Reduction (§III-D, Figure 5): partial sums living on different bit lines
 // of the same array are summed by moving half of them onto the other
@@ -15,6 +19,13 @@ import "fmt"
 // cannot overflow). After the step, lane l holds element(l) +
 // element(l+stride) for every l with a partner. Emergent cost: 2w cycles
 // (w move + w add; the carry-latch reset is part of op issue).
+//
+// On healthy arrays the step runs fused: row i's shift-copy and the add
+// of bit i happen in one pass, with the shift's word and bit offsets
+// computed once. The add of bit i writes only row src+i, which no later
+// shift reads, so rows, the carry and tag latches and the cycle count
+// match the stepped microcode exactly. Arrays with injected faults keep
+// the stepped path so every write crosses the fault hook.
 func (a *Array) ReduceStep(src, op, w, stride int) {
 	checkRows("ReduceStep src", src, w)
 	checkRows("ReduceStep op", op, w)
@@ -22,10 +33,48 @@ func (a *Array) ReduceStep(src, op, w, stride int) {
 	if stride <= 0 || stride >= BitLines {
 		panic(fmt.Sprintf("sram: ReduceStep stride %d outside (0,%d)", stride, BitLines))
 	}
+	// An op range aliasing src makes the add read the moved rows, which
+	// the fused pass reads before the move; that case keeps the stepped
+	// order too.
+	if a.faults == nil && op != src {
+		a.fusedReduceStep(src, op, w, stride)
+		return
+	}
 	for i := 0; i < w; i++ {
 		a.cycleShiftCopyRow(src+i, op+i, stride, false)
 	}
 	a.AddTrunc(src, op, src, w)
+}
+
+// fusedReduceStep is ReduceStep's healthy-array fast path. The shift is
+// shiftVec's logical right shift of the 256-bit row by stride lanes; the
+// row, the moved operand and the carry stay in registers.
+func (a *Array) fusedReduceStep(src, op, w, stride int) {
+	words, rem := stride>>6, uint(stride&63)
+	// A shift by 64 is zero in Go, so rem == 0 needs no branch.
+	up := 64 - rem
+	var c0, c1, c2, c3 uint64
+	for i := 0; i < w; i++ {
+		s := &a.rows[src+i]
+		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		var m0, m1, m2, m3 uint64
+		switch words {
+		case 0:
+			m0, m1, m2, m3 = s0>>rem|s1<<up, s1>>rem|s2<<up, s2>>rem|s3<<up, s3>>rem
+		case 1:
+			m0, m1, m2 = s1>>rem|s2<<up, s2>>rem|s3<<up, s3>>rem
+		case 2:
+			m0, m1 = s2>>rem|s3<<up, s3>>rem
+		default:
+			m0 = s3 >> rem
+		}
+		a.rows[op+i] = bitvec.Vec256{m0, m1, m2, m3}
+		x0, x1, x2, x3 := s0^m0, s1^m1, s2^m2, s3^m3
+		*s = bitvec.Vec256{x0 ^ c0, x1 ^ c1, x2 ^ c2, x3 ^ c3}
+		c0, c1, c2, c3 = s0&m0|x0&c0, s1&m1|x1&c1, s2&m2|x2&c2, s3&m3|x3&c3
+	}
+	a.carry = bitvec.Vec256{c0, c1, c2, c3}
+	a.stats.ComputeCycles += uint64(2 * w)
 }
 
 // Reduce sums groups of `count` w-bit elements laid out on consecutive

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -126,6 +128,18 @@ func TestSimulateGoldenByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(rep1, want) {
 		t.Error("report JSON diverged from testdata/golden_cluster.json (rerun with -update if intended)")
+	}
+}
+
+// TestSimulateGoldenTraceDigest pins the golden scenario's trace by
+// SHA-256, so a refactor that reorders emission within a timestamp is
+// caught, not just run-to-run drift.
+func TestSimulateGoldenTraceDigest(t *testing.T) {
+	_, tr := runGolden(t, 0)
+	sum := sha256.Sum256(tr)
+	const wantSum = "0f21d9776bd44ca0d789d52d407948c8facb8bec94b57c2a1ef09281fef83517"
+	if got := hex.EncodeToString(sum[:]); got != wantSum || len(tr) != 1917186 {
+		t.Errorf("trace SHA-256 %s over %d bytes, want %s over 1917186", got, len(tr), wantSum)
 	}
 }
 

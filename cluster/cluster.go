@@ -19,18 +19,17 @@
 //
 // Two drivers consume a cluster:
 //
-//   - Simulate extends the virtual-clock discrete-event simulator to
-//     the fleet: diurnal load (Load.RateSchedule), hot-spot model
-//     shifts (Load.MixSchedule) and correlated node loss
-//     (Options.Events) replay deterministically in seconds, and the
-//     serialized Report is byte-identical across runs and
-//     functional-engine worker counts. Each simulated node runs the
-//     exact single-node admission/batching/scheduling policy
-//     (serve.PickWarmFirst / serve.PickPlannedGroup), with its own
-//     plan.Controller re-planning for the traffic the router actually
-//     sends it; a cluster-level mix observer tracks the offered mix so
-//     joining nodes warm up against current traffic, not the launch
-//     mix.
+//   - Simulate extends the virtual clock to the fleet: diurnal load
+//     (Load.RateSchedule), hot-spot model shifts (Load.MixSchedule) and
+//     correlated node loss (Options.Events) replay deterministically in
+//     seconds, and the serialized Report is byte-identical across runs
+//     and functional-engine worker counts. Every node runs the same
+//     scheduling core as serve.Simulate (internal/node: admission
+//     queues, micro-batching, warm-first and plan-aware group claims,
+//     restages), with its own plan.Controller re-planning for the
+//     traffic the router sends it — a cluster of one node is a
+//     serve.Simulate node. A cluster-level mix observer tracks the
+//     offered mix so joining nodes warm up against current traffic.
 //   - New builds the wall-clock front door over real serve.Servers
 //     (cluster.Cluster): SubmitModel routes live requests, Drain/Join
 //     rotate nodes out and in.
@@ -302,7 +301,8 @@ func newMixObserver(halfLife time.Duration, models int) *mixObserver {
 
 func (o *mixObserver) observe(model int, now time.Duration) {
 	if now > o.last {
-		f := decayFactor(now-o.last, o.halfLife)
+		// The half-life decay plan.Controller applies.
+		f := math.Exp2(-float64(now-o.last) / float64(o.halfLife))
 		for i := range o.counts {
 			o.counts[i] *= f
 		}
@@ -326,11 +326,6 @@ func (o *mixObserver) shares(names []string) []plan.Share {
 		out[i] = plan.Share{Model: name, Weight: o.counts[i] / mass}
 	}
 	return out
-}
-
-// decayFactor is the half-life exponential decay plan.Controller uses.
-func decayFactor(dt, halfLife time.Duration) float64 {
-	return math.Exp2(-float64(dt) / float64(halfLife))
 }
 
 // sharesFromMix converts a load mix into planner shares, resolving ""

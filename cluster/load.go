@@ -3,9 +3,9 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
+	"neuralcache/internal/node"
 	"neuralcache/serve"
 )
 
@@ -28,8 +28,10 @@ type Load struct {
 	// like serve.Load.Seed: same seed, same schedule, same models.
 	Seed int64
 	// Poisson draws exponential interarrival times (a piecewise-
-	// homogeneous Poisson process under RateSchedule) instead of
-	// uniform spacing.
+	// homogeneous Poisson process under RateSchedule: the leftover
+	// exponential mass carries across a rate boundary) instead of
+	// uniform spacing, which changes rate from the first arrival that
+	// lands past a boundary.
 	Poisson bool
 	// Mix assigns each arrival a model with serve.Load.Mix's weighted
 	// draw and validation rules; empty means every arrival targets the
@@ -47,229 +49,29 @@ type Load struct {
 
 // RateShift is one scheduled arrival-rate change: from At onward the
 // process offers Rate requests per second.
-type RateShift struct {
-	At   time.Duration `json:"at_ns"`
-	Rate float64       `json:"rate_per_sec"`
+type RateShift = node.RateShift
+
+// traffic is the load's arrival process in the shared generator's
+// terms.
+func (l Load) traffic() node.Traffic {
+	return node.Traffic{
+		Rate:         l.Rate,
+		RateSchedule: l.RateSchedule,
+		Requests:     l.Requests,
+		Duration:     l.Duration,
+		Seed:         l.Seed,
+		Poisson:      l.Poisson,
+		Mix:          l.Mix,
+		MixSchedule:  l.MixSchedule,
+	}
 }
 
 func (l Load) validate() error {
 	if math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) || l.Rate <= 0 {
 		return fmt.Errorf("cluster: arrival rate %v", l.Rate)
 	}
-	if l.Requests < 0 {
-		return fmt.Errorf("cluster: %d requests", l.Requests)
-	}
-	if l.Requests == 0 && l.Duration <= 0 {
-		return fmt.Errorf("cluster: load needs Requests or Duration")
-	}
-	if err := validateMix(l.Mix, "mix"); err != nil {
-		return err
-	}
-	for i, shift := range l.MixSchedule {
-		if shift.At <= 0 {
-			return fmt.Errorf("cluster: mix shift %d at %v (must be after t=0)", i, shift.At)
-		}
-		if i > 0 && shift.At <= l.MixSchedule[i-1].At {
-			return fmt.Errorf("cluster: mix schedule out of order at %v", shift.At)
-		}
-		if len(shift.Mix) == 0 {
-			return fmt.Errorf("cluster: mix shift at %v has an empty mix", shift.At)
-		}
-		if err := validateMix(shift.Mix, fmt.Sprintf("mix shift at %v", shift.At)); err != nil {
-			return err
-		}
-	}
-	for i, shift := range l.RateSchedule {
-		if shift.At <= 0 {
-			return fmt.Errorf("cluster: rate shift %d at %v (must be after t=0)", i, shift.At)
-		}
-		if i > 0 && shift.At <= l.RateSchedule[i-1].At {
-			return fmt.Errorf("cluster: rate schedule out of order at %v", shift.At)
-		}
-		if math.IsNaN(shift.Rate) || math.IsInf(shift.Rate, 0) || shift.Rate <= 0 {
-			return fmt.Errorf("cluster: rate shift at %v to %v", shift.At, shift.Rate)
-		}
+	if err := l.traffic().Validate(); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
-}
-
-// validateMix applies serve.Load's mix rules: finite non-negative
-// weights, distinct models, at least one positive weight.
-func validateMix(mix []serve.ModelShare, what string) error {
-	seen := make(map[string]bool, len(mix))
-	total := 0.0
-	for _, ms := range mix {
-		if ms.Weight < 0 || math.IsNaN(ms.Weight) || math.IsInf(ms.Weight, 0) {
-			return fmt.Errorf("cluster: %s weight %v for model %q", what, ms.Weight, ms.Model)
-		}
-		if seen[ms.Model] {
-			return fmt.Errorf("cluster: model %q appears twice in the %s", ms.Model, what)
-		}
-		seen[ms.Model] = true
-		total += ms.Weight
-	}
-	if len(mix) > 0 && total <= 0 {
-		return fmt.Errorf("cluster: %s weights sum to zero", what)
-	}
-	return nil
-}
-
-// models returns every model name the load can draw, in first-seen
-// order across the base mix and every scheduled shift.
-func (l Load) models() []string {
-	var names []string
-	seen := make(map[string]bool)
-	add := func(mix []serve.ModelShare) {
-		for _, ms := range mix {
-			if !seen[ms.Model] {
-				seen[ms.Model] = true
-				names = append(names, ms.Model)
-			}
-		}
-	}
-	add(l.Mix)
-	for _, shift := range l.MixSchedule {
-		add(shift.Mix)
-	}
-	return names
-}
-
-// mixTable draws model names from a weighted mix via its cumulative
-// table — the same draw serve's generators use, so a cluster load and a
-// single-node load with the same seed assign the same models.
-type mixTable struct {
-	mix []serve.ModelShare
-	cum []float64
-}
-
-func newMixTable(mix []serve.ModelShare) mixTable {
-	t := mixTable{mix: mix, cum: make([]float64, len(mix))}
-	total := 0.0
-	for i, ms := range mix {
-		total += ms.Weight
-		t.cum[i] = total
-	}
-	return t
-}
-
-func (t mixTable) draw(rng *rand.Rand) string {
-	switch len(t.mix) {
-	case 0:
-		return ""
-	case 1:
-		return t.mix[0].Model
-	}
-	x := rng.Float64() * t.cum[len(t.cum)-1]
-	for i, c := range t.cum {
-		if x < c {
-			return t.mix[i].Model
-		}
-	}
-	return t.mix[len(t.mix)-1].Model
-}
-
-// mixEpoch is one contiguous span of the mix timeline.
-type mixEpoch struct {
-	at  time.Duration
-	mix mixTable
-}
-
-// rateEpoch is one contiguous span of the rate timeline, in seconds
-// (the generator's native unit).
-type rateEpoch struct {
-	at   float64
-	rate float64
-}
-
-// arrivalGen yields the deterministic, monotone arrival sequence: each
-// arrival's offset from t=0 and its mix-drawn model. Interarrival and
-// mix draws come from independently salted generators (the same salts
-// serve.Load uses), so enabling a mix does not perturb the schedule.
-type arrivalGen struct {
-	load   Load
-	rng    *rand.Rand // interarrival draws (Poisson only)
-	mixRNG *rand.Rand // model-mix draws
-	mixes  []mixEpoch
-	rates  []rateEpoch
-	count  int
-	t      float64 // seconds
-}
-
-func (l Load) arrivals() *arrivalGen {
-	g := &arrivalGen{load: l}
-	if l.Poisson {
-		g.rng = rand.New(rand.NewSource(l.Seed))
-	}
-	if len(l.Mix) > 0 || len(l.MixSchedule) > 0 {
-		g.mixRNG = rand.New(rand.NewSource(l.Seed ^ 0x6d69780a)) // "mix" salt, as serve
-	}
-	g.mixes = []mixEpoch{{at: 0, mix: newMixTable(l.Mix)}}
-	for _, shift := range l.MixSchedule {
-		g.mixes = append(g.mixes, mixEpoch{at: shift.At, mix: newMixTable(shift.Mix)})
-	}
-	g.rates = []rateEpoch{{at: 0, rate: l.Rate}}
-	for _, shift := range l.RateSchedule {
-		g.rates = append(g.rates, rateEpoch{at: shift.At.Seconds(), rate: shift.Rate})
-	}
-	return g
-}
-
-// next returns the next arrival offset and its model name ("" = the
-// default model), or false when the load is exhausted.
-func (g *arrivalGen) next() (time.Duration, string, bool) {
-	g.count++
-	if g.load.Requests > 0 && g.count > g.load.Requests {
-		return 0, "", false
-	}
-	if g.load.Poisson {
-		// Piecewise-homogeneous Poisson: draw one unit-exponential and
-		// spend it across rate epochs — the residual exponential mass
-		// carries over a boundary, so the process stays memoryless
-		// within each epoch and the whole schedule stays deterministic.
-		e := g.rng.ExpFloat64()
-		for {
-			i := g.rateIndex()
-			r := g.rates[i].rate
-			if i+1 >= len(g.rates) {
-				g.t += e / r
-				break
-			}
-			end := g.rates[i+1].at
-			if g.t+e/r <= end {
-				g.t += e / r
-				break
-			}
-			e -= (end - g.t) * r
-			g.t = end
-		}
-	} else {
-		// Uniform spacing at the rate active when the previous arrival
-		// landed; a boundary takes effect from the next interarrival.
-		g.t += 1 / g.rates[g.rateIndex()].rate
-	}
-	at := time.Duration(g.t * float64(time.Second))
-	if g.load.Requests == 0 && at > g.load.Duration {
-		return 0, "", false
-	}
-	return at, g.model(at), true
-}
-
-// rateIndex returns the rate epoch active at the generator's current
-// time. The cursor is monotone, so a linear scan from the back is
-// cheap and branch-predictable.
-func (g *arrivalGen) rateIndex() int {
-	i := len(g.rates) - 1
-	for i > 0 && g.rates[i].at > g.t {
-		i--
-	}
-	return i
-}
-
-// model draws the arrival's model from the mix active at its time.
-func (g *arrivalGen) model(at time.Duration) string {
-	i := len(g.mixes) - 1
-	for i > 0 && g.mixes[i].at > at {
-		i--
-	}
-	return g.mixes[i].mix.draw(g.mixRNG)
 }

@@ -14,10 +14,10 @@ func TestArrivalGenUniformRateSchedule(t *testing.T) {
 	g := Load{
 		Rate: 1000, Requests: 15,
 		RateSchedule: []RateShift{{At: 10 * time.Millisecond, Rate: 2000}},
-	}.arrivals()
+	}.traffic().Arrivals()
 	var got []time.Duration
 	for {
-		at, _, ok := g.next()
+		at, _, _, ok := g.Next()
 		if !ok {
 			break
 		}
@@ -47,12 +47,12 @@ func TestArrivalGenPoissonPiecewise(t *testing.T) {
 		Rate: 1000, Requests: 4000, Seed: 99, Poisson: true,
 		RateSchedule: []RateShift{{At: 2 * time.Second, Rate: 2000}},
 	}
-	a, b := load.arrivals(), load.arrivals()
+	a, b := load.traffic().Arrivals(), load.traffic().Arrivals()
 	var before, after int
 	prev := time.Duration(-1)
 	for {
-		at, _, ok := a.next()
-		bt, _, bok := b.next()
+		at, _, _, ok := a.Next()
+		bt, _, _, bok := b.Next()
 		if ok != bok || at != bt {
 			t.Fatal("same seed diverged")
 		}
@@ -88,10 +88,10 @@ func TestArrivalGenMixSchedule(t *testing.T) {
 	mixed.MixSchedule = []serve.MixShift{
 		{At: 15 * time.Millisecond, Mix: []serve.ModelShare{{Model: "b", Weight: 1}}},
 	}
-	g, gm := base.arrivals(), mixed.arrivals()
+	g, gm := base.traffic().Arrivals(), mixed.traffic().Arrivals()
 	for {
-		at, model, ok := g.next()
-		atm, modelm, okm := gm.next()
+		at, model, _, ok := g.Next()
+		atm, modelm, _, okm := gm.Next()
 		if ok != okm {
 			t.Fatal("length diverged")
 		}
@@ -145,7 +145,7 @@ func TestLoadValidation(t *testing.T) {
 	if err := ok.validate(); err != nil {
 		t.Errorf("valid load rejected: %v", err)
 	}
-	if got := ok.models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if got := ok.traffic().Models(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("models() = %v", got)
 	}
 }

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -117,9 +117,11 @@ type Report struct {
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 }
 
-// percentile returns the nearest-rank p-th percentile of sorted
-// latencies (serve's definition, so node and fleet quantiles compare
-// like-for-like).
+// percentile returns sorted[int(p/100·n+0.5)−1], clamped: the rank
+// p/100·n rounded half up. Serve's nearest-rank rule takes ⌈p/100·n⌉−1
+// instead, so the two differ when p/100·n has a fraction below one half
+// (first at n = 6, p = 90: the 5th sample here, the 6th in serve). The
+// golden cluster report pins this rule.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
@@ -132,10 +134,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 }
 
 // nodeCapacity is the node's Estimate-derived throughput bound,
@@ -178,7 +176,7 @@ func (s *sim) nodeCapacity(n *simNode) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return float64(n.groups) * float64(n.spec.MaxBatch) / mean
+	return float64(n.spec.Replicas) * float64(n.spec.MaxBatch) / mean
 }
 
 // report assembles the run's Report.
@@ -205,39 +203,39 @@ func (s *sim) report() (*Report, error) {
 			Node:           n.spec.Name,
 			Sockets:        n.spec.Sockets,
 			Slices:         n.spec.Slices,
-			Groups:         n.groups,
+			Groups:         n.spec.Replicas,
 			Planned:        n.spec.Plan,
 			State:          n.state.String(),
 			Routed:         n.routed,
 			Served:         n.served,
 			Rejected:       n.rejected,
 			Lost:           n.lost,
-			Batches:        n.batches,
-			WarmDispatches: n.warm,
-			ColdDispatches: n.cold,
-			Restages:       n.restages,
-			Replans:        n.replans,
-			MaxQueueDepth:  n.maxDepth,
+			Batches:        n.Batches,
+			WarmDispatches: n.Warm,
+			ColdDispatches: n.Cold,
+			Restages:       n.Restages,
+			Replans:        n.Replans,
+			MaxQueueDepth:  n.MaxDepth(),
 			CapacityPerSec: s.nodeCapacity(n),
 		}
 		if n.spec.GroupSize > 1 {
 			nr.GroupSize = n.spec.GroupSize
 		}
-		if n.batches > 0 {
-			nr.MeanBatch = float64(n.batched) / float64(n.batches)
+		if n.Batches > 0 {
+			nr.MeanBatch = float64(n.Batched) / float64(n.Batches)
 		}
 		if makespan > 0 {
-			nr.Utilization = n.busy.Seconds() / (makespan.Seconds() * float64(n.groups))
+			nr.Utilization = n.busy.Seconds() / (makespan.Seconds() * float64(n.spec.Replicas))
 		}
-		sortDurations(n.latencies)
+		slices.Sort(n.latencies)
 		nr.P50 = percentile(n.latencies, 50)
 		nr.P99 = percentile(n.latencies, 99)
 		r.Nodes = append(r.Nodes, nr)
-		r.Batches += n.batches
-		r.WarmDispatches += n.warm
-		r.ColdDispatches += n.cold
-		r.Restages += n.restages
-		r.Replans += n.replans
+		r.Batches += n.Batches
+		r.WarmDispatches += n.Warm
+		r.ColdDispatches += n.Cold
+		r.Restages += n.Restages
+		r.Replans += n.Replans
 		if n.state != stateDown {
 			r.CapacityPerSec += nr.CapacityPerSec
 		}
@@ -245,39 +243,40 @@ func (s *sim) report() (*Report, error) {
 	if r.Batches > 0 {
 		batched := 0
 		for _, n := range s.nodes {
-			batched += n.batched
+			batched += n.Batched
 		}
 		r.MeanBatch = float64(batched) / float64(r.Batches)
 	}
 	if makespan > 0 {
 		r.ThroughputPerSec = float64(s.served) / makespan.Seconds()
 	}
-	sortDurations(s.latencies)
+	slices.Sort(s.latencies)
 	r.P50 = percentile(s.latencies, 50)
 	r.P90 = percentile(s.latencies, 90)
 	r.P99 = percentile(s.latencies, 99)
 	if len(s.latencies) > 0 {
 		r.Max = s.latencies[len(s.latencies)-1]
 	}
-	for _, st := range s.perModel {
+	for mi, st := range s.perModel {
 		if st.offered == 0 && st.served == 0 && st.rejected == 0 && st.lost == 0 {
 			continue
 		}
 		mu := ModelUsage{
-			Model:       st.name,
-			Offered:     st.offered,
-			Served:      st.served,
-			Rejected:    st.rejected,
-			Lost:        st.lost,
-			WarmBatches: st.warm,
-			ColdBatches: st.cold,
+			Model:    st.name,
+			Offered:  st.offered,
+			Served:   st.served,
+			Rejected: st.rejected,
+			Lost:     st.lost,
 		}
-		for _, hit := range st.servedBy {
-			if hit {
+		for _, n := range s.nodes {
+			t := n.Models[mi]
+			mu.WarmBatches += t.Warm
+			mu.ColdBatches += t.Cold
+			if t.Warm+t.Cold > 0 {
 				mu.NodesServed++
 			}
 		}
-		sortDurations(st.latencies)
+		slices.Sort(st.latencies)
 		mu.P50 = percentile(st.latencies, 50)
 		mu.P99 = percentile(st.latencies, 99)
 		r.PerModel = append(r.PerModel, mu)
@@ -331,59 +330,16 @@ func (r *Report) String() string {
 // fleetTimeline samples the fleet's time series at a fixed interval of
 // the virtual clock. Instantaneous fields read the simulator state at
 // the boundary (before the boundary event applies); windowed counters
-// sum to the run totals. GroupUtil carries one entry per node — the
-// node's charged busy fraction of the window, which can exceed 1
-// briefly because occupancy is charged at claim.
+// are differences of the run's totals, so they sum to them. GroupUtil
+// carries one entry per node — the node's charged busy fraction of the
+// window, which can exceed 1 briefly because occupancy is charged at
+// claim.
 type fleetTimeline struct {
 	interval time.Duration
 	next     time.Duration
 	prev     time.Duration
 	samples  []obs.TimelinePoint
-
-	offered, served, rejected int
-	warm, cold                int
-	restages, replans         int
-}
-
-func (t *fleetTimeline) noteOffered() {
-	if t != nil {
-		t.offered++
-	}
-}
-
-func (t *fleetTimeline) noteServed(k int) {
-	if t != nil {
-		t.served += k
-	}
-}
-
-func (t *fleetTimeline) noteRejected() {
-	if t != nil {
-		t.rejected++
-	}
-}
-
-func (t *fleetTimeline) noteDispatch(warm bool) {
-	if t == nil {
-		return
-	}
-	if warm {
-		t.warm++
-	} else {
-		t.cold++
-	}
-}
-
-func (t *fleetTimeline) noteRestage() {
-	if t != nil {
-		t.restages++
-	}
-}
-
-func (t *fleetTimeline) noteReplan() {
-	if t != nil {
-		t.replans++
-	}
+	last     obs.TimelinePoint // run totals at the previous sample
 }
 
 // advance emits every boundary at or before 'at', so each event is
@@ -400,31 +356,34 @@ func (t *fleetTimeline) advance(at time.Duration, s *sim) {
 
 func (t *fleetTimeline) emit(at time.Duration, s *sim) {
 	window := at - t.prev
+	total := obs.TimelinePoint{Offered: s.offered, Served: s.served, Rejected: s.rejectedFull + s.rejectedNoNode}
 	busy := 0
 	util := make([]float64, len(s.nodes))
 	for i, n := range s.nodes {
-		busy += n.busyGroups()
+		busy += n.BusyGroups()
+		total.WarmDispatches += n.Warm
+		total.ColdDispatches += n.Cold
+		total.Restages += n.Restages
+		total.Replans += n.Replans
 		if window > 0 {
-			util[i] = n.winBusy.Seconds() / (window.Seconds() * float64(n.groups))
+			util[i] = n.winBusy.Seconds() / (window.Seconds() * float64(n.spec.Replicas))
 		}
 		n.winBusy = 0
 	}
 	t.samples = append(t.samples, obs.TimelinePoint{
 		T:              at,
-		QueueDepth:     s.depth,
+		QueueDepth:     s.queued(),
 		BusyGroups:     busy,
-		Offered:        t.offered,
-		Served:         t.served,
-		Rejected:       t.rejected,
-		WarmDispatches: t.warm,
-		ColdDispatches: t.cold,
-		Restages:       t.restages,
-		Replans:        t.replans,
+		Offered:        total.Offered - t.last.Offered,
+		Served:         total.Served - t.last.Served,
+		Rejected:       total.Rejected - t.last.Rejected,
+		WarmDispatches: total.WarmDispatches - t.last.WarmDispatches,
+		ColdDispatches: total.ColdDispatches - t.last.ColdDispatches,
+		Restages:       total.Restages - t.last.Restages,
+		Replans:        total.Replans - t.last.Replans,
 		GroupUtil:      util,
 	})
-	t.offered, t.served, t.rejected = 0, 0, 0
-	t.warm, t.cold = 0, 0
-	t.restages, t.replans = 0, 0
+	t.last = total
 	t.prev = at
 }
 

@@ -1,56 +1,14 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"time"
 
 	"neuralcache"
+	"neuralcache/internal/node"
 	"neuralcache/plan"
 	"neuralcache/serve"
 )
-
-// Event kinds of the cluster-level discrete-event simulator. They
-// mirror serve.Simulate's, plus the lifecycle transition.
-const (
-	evArrival = iota
-	evCompletion
-	evLinger
-	evRestage
-	evLifecycle
-)
-
-// event is one scheduled state change on the fleet's virtual clock.
-// Completion and restage events carry the epoch of the node state that
-// scheduled them: a kill bumps the node's epoch, so events from the
-// dead incarnation are recognized at pop time — their requests are
-// counted lost instead of served, and no group state is touched.
-type event struct {
-	at    time.Duration
-	seq   uint64 // FIFO tiebreak among equal times
-	kind  int
-	node  int
-	epoch int
-	model int
-	shard int
-	// arrivals are the batch's admission times (completion events).
-	arrivals []time.Duration
-	change   EventKind
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // nodeState is a node's lifecycle position.
 type nodeState int
@@ -71,66 +29,35 @@ func (st nodeState) String() string {
 	return "down"
 }
 
-// modelQueue is one model's admitted, undispatched arrivals on one
-// node.
-type modelQueue struct {
-	at   []time.Duration
-	head int
-}
-
-func (q *modelQueue) qlen() int { return len(q.at) - q.head }
-
-// simNode is one node's complete scheduling state: the same admission
-// queue, per-model micro-batching and warm-first / plan-aware group
-// selection the single-node tier applies (via serve.PickWarmFirst and
-// serve.PickPlannedGroup), plus lifecycle state.
+// simNode is one fleet node: the scheduling core serve.Simulate runs,
+// plus geometry, pricing, lifecycle state and the fleet's accounting. A
+// kill resets the core and bumps its epoch, so the dead incarnation's
+// completions and restages pop stale: their requests count as lost and
+// no group state is touched.
 type simNode struct {
+	*node.Node
 	spec    NodeSpec
 	sys     *neuralcache.System
 	backend serve.Backend
-	groups  int
-
-	state nodeState
-	epoch int
-
-	queues   []modelQueue // per fleet model index
-	depth    int
-	maxDepth int
-
-	free      []bool
-	staged    []int // fleet model index staged per group; -1 = never
-	freeCount int
-
-	pin            []int // nil = reactive; -1 = overflow
-	pendingRestage map[int]int
-	ctrl           *plan.Controller
-	curPlan        *plan.Plan
-	lastLinger     time.Duration
+	state   nodeState
 
 	routed, served, rejected, lost int
-	batches, batched               int
-	warm, cold, restages, replans  int
 	servedPerModel                 []int
 	busy, winBusy                  time.Duration
 	latencies                      []time.Duration
 }
 
-// busyGroups is the node's occupied replica-group count.
-func (n *simNode) busyGroups() int { return n.groups - n.freeCount }
-
-// modelStats is one model's fleet-level accounting.
+// modelStats is one model's fleet-level admission accounting; its
+// dispatch tallies live in the nodes' cores.
 type modelStats struct {
 	name                            string
 	offered, served, rejected, lost int
-	warm, cold                      int
-	servedBy                        []bool // nodes that dispatched it
 	latencies                       []time.Duration
 }
 
 // sim is the state of one cluster.Simulate run.
 type sim struct {
 	opts   Options
-	load   Load
 	router Router
 
 	models []*neuralcache.Model
@@ -139,11 +66,10 @@ type sim struct {
 
 	nodes []*simNode
 
-	events eventHeap
-	seq    uint64
+	events node.Events
 	now    time.Duration
 
-	gen      *arrivalGen
+	gen      *node.Gen
 	observer *mixObserver
 	tracer   *tracer
 	timeline *fleetTimeline
@@ -153,7 +79,7 @@ type sim struct {
 	offered, served              int
 	rejectedFull, rejectedNoNode int
 	lost                         int
-	depth, maxDepth              int
+	maxDepth                     int
 	firstArrival, lastCompletion time.Duration
 	latencies                    []time.Duration
 
@@ -180,12 +106,11 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 	}
 	s := &sim{
 		opts:   o,
-		load:   load,
 		router: o.Router,
 		models: models,
 		names:  make([]string, len(models)),
 		index:  make(map[string]int, len(models)),
-		gen:    load.arrivals(),
+		gen:    load.traffic().Arrivals(),
 	}
 	for i, m := range models {
 		if m == nil {
@@ -196,15 +121,15 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		}
 		s.names[i] = m.Name()
 		s.index[m.Name()] = i
-		s.perModel = append(s.perModel, &modelStats{name: m.Name(), servedBy: make([]bool, len(o.Nodes))})
+		s.perModel = append(s.perModel, &modelStats{name: m.Name()})
 	}
 	// Resolve the whole mix timeline up front: unknown models fail fast.
-	for _, name := range load.models() {
+	for _, name := range load.traffic().Models() {
 		if _, err := s.resolve(name); err != nil {
 			return nil, err
 		}
 	}
-	for _, spec := range o.Nodes {
+	for i, spec := range o.Nodes {
 		sys, err := spec.system()
 		if err != nil {
 			return nil, err
@@ -213,18 +138,19 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 			spec:           spec,
 			sys:            sys,
 			backend:        serve.NewAnalyticBackend(sys, models[0], models[1:]...),
-			groups:         spec.Replicas,
-			queues:         make([]modelQueue, len(models)),
-			free:           make([]bool, spec.Replicas),
-			staged:         make([]int, spec.Replicas),
-			freeCount:      spec.Replicas,
 			servedPerModel: make([]int, len(models)),
-			lastLinger:     -1,
 		}
-		for g := range n.free {
-			n.free[g] = true
-			n.staged[g] = -1
-		}
+		n.Node = node.New(node.Config{
+			ID:        i,
+			Name:      "cluster: node " + spec.Name,
+			Names:     s.names,
+			Pricer:    n.backend,
+			Groups:    spec.Replicas,
+			GroupSize: spec.GroupSize,
+			MaxBatch:  spec.MaxBatch,
+			Linger:    spec.MaxLinger,
+			Drift:     o.Trace != nil,
+		}, &s.events, s)
 		s.nodes = append(s.nodes, n)
 	}
 	s.observer = newMixObserver(o.ObserverHalfLife, len(models))
@@ -241,9 +167,9 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		s.initialMix = []plan.Share{{Model: s.names[0], Weight: 1}}
 	}
 	s.planRate = load.Rate / float64(len(s.nodes))
-	for ni, n := range s.nodes {
+	for _, n := range s.nodes {
 		if n.spec.Plan {
-			if err := s.planNode(ni, n, s.initialMix); err != nil {
+			if err := s.planNode(n, s.initialMix); err != nil {
 				return nil, err
 			}
 		}
@@ -251,39 +177,38 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 	// Lifecycle events enter the heap before the first arrival, so a
 	// transition scheduled at an arrival's exact instant fires first.
 	for _, ev := range o.Events {
-		s.push(&event{at: ev.At, kind: evLifecycle, node: ev.Node, change: ev.Kind})
+		s.events.Push(node.Event{At: ev.At, Kind: node.Lifecycle, Node: ev.Node, Model: int(ev.Kind)})
 	}
-	if at, model, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
+	if err := s.arrive(); err != nil {
+		return nil, err
+	}
+	for s.events.Len() > 0 {
+		e := s.events.Pop()
+		s.timeline.advance(e.At, s)
+		s.now = e.At
+		switch e.Kind {
+		case node.Arrival:
+			err = s.onArrival(e)
+		case node.Completion:
+			err = s.onCompletion(e)
+		case node.Restage:
+			if n := s.nodes[e.Node]; e.Epoch == n.Epoch() {
+				err = n.Finish(s.now, e.Group)
+			}
+		case node.Lifecycle:
+			err = s.onLifecycle(e)
+		}
 		if err != nil {
 			return nil, err
 		}
-		s.push(&event{at: at, kind: evArrival, model: mi})
-	}
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		s.timeline.advance(e.at, s)
-		s.now = e.at
-		switch e.kind {
-		case evArrival:
-			if err := s.onArrival(e); err != nil {
-				return nil, err
-			}
-		case evCompletion:
-			s.onCompletion(e)
-		case evRestage:
-			if n := s.nodes[e.node]; e.epoch == n.epoch {
-				if err := s.freeOrRestage(e.node, n, e.shard); err != nil {
+		// Every node that is not down applies its micro-batching policy;
+		// draining nodes keep dispatching their queued work.
+		for _, n := range s.nodes {
+			if n.state != stateDown {
+				if err := n.Dispatch(s.now); err != nil {
 					return nil, err
 				}
 			}
-		case evLifecycle:
-			if err := s.onLifecycle(e); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.tryDispatchAll(); err != nil {
-			return nil, err
 		}
 	}
 	return s.report()
@@ -302,18 +227,27 @@ func (s *sim) resolve(name string) (int, error) {
 	return mi, nil
 }
 
-func (s *sim) push(e *event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
+// arrive pushes the generator's next arrival, if any.
+func (s *sim) arrive() error {
+	at, model, _, ok := s.gen.Next()
+	if !ok {
+		return nil
+	}
+	mi, err := s.resolve(model)
+	if err != nil {
+		return err
+	}
+	s.events.Push(node.Event{At: at, Kind: node.Arrival, Model: mi})
+	return nil
 }
 
-// planNode computes and adopts a residency plan for the node from the
-// given shares, pre-staging every pinned group. Zero-weight shares are
-// floored to a tiny epsilon so every registered model keeps a warm set
-// (the plan has no overflow pool; an unpinned model's requests could
-// never dispatch) — the same rationale as plan.Rebalance's floor.
-func (s *sim) planNode(ni int, n *simNode, shares []plan.Share) error {
+// planNode computes a residency plan for the node from the given
+// shares and adopts it, pre-staging every pinned group. Zero-weight
+// shares are floored to a tiny epsilon so every registered model keeps
+// a warm set (the plan has no overflow pool; an unpinned model's
+// requests could never dispatch) — the same rationale as
+// plan.Rebalance's floor.
+func (s *sim) planNode(n *simNode, shares []plan.Share) error {
 	floored := make([]plan.Share, len(shares))
 	copy(floored, shares)
 	for i := range floored {
@@ -329,93 +263,22 @@ func (s *sim) planNode(ni int, n *simNode, shares []plan.Share) error {
 	if err != nil {
 		return fmt.Errorf("cluster: node %s: %w", n.spec.Name, err)
 	}
-	if err := s.adoptPlan(n, p); err != nil {
-		return err
-	}
-	for g, mi := range n.pin {
-		if mi >= 0 {
-			if err := s.beginRestage(ni, n, g, mi); err != nil {
-				return err
-			}
-		}
-	}
+	var ctrl *plan.Controller
 	if n.spec.Replan.Enabled() {
-		ctrl, err := plan.NewController(n.sys, s.models, p, n.spec.Replan)
-		if err != nil {
+		if ctrl, err = plan.NewController(n.sys, s.models, p, n.spec.Replan); err != nil {
 			return fmt.Errorf("cluster: node %s: %w", n.spec.Name, err)
 		}
-		n.ctrl = ctrl
 	}
-	return nil
+	return n.Adopt(s.now, p, ctrl)
 }
 
-// adoptPlan resolves a plan's pinned assignment against the fleet
-// registry.
-func (s *sim) adoptPlan(n *simNode, p *plan.Plan) error {
-	if p.Groups != n.groups {
-		return fmt.Errorf("cluster: node %s plan assigns %d groups, node schedules %d", n.spec.Name, p.Groups, n.groups)
+// queued is the fleet's admitted, undispatched request count.
+func (s *sim) queued() int {
+	d := 0
+	for _, n := range s.nodes {
+		d += n.Depth()
 	}
-	pin := make([]int, n.groups)
-	for g := range pin {
-		pin[g] = -1
-	}
-	for _, mp := range p.Models {
-		mi, err := s.resolve(mp.Model)
-		if err != nil {
-			return err
-		}
-		for _, g := range mp.Groups {
-			if g < 0 || g >= n.groups {
-				return fmt.Errorf("cluster: node %s plan pins %s to group %d of %d", n.spec.Name, mp.Model, g, n.groups)
-			}
-			pin[g] = mi
-		}
-	}
-	n.pin = pin
-	n.curPlan = p
-	if n.pendingRestage == nil {
-		n.pendingRestage = make(map[int]int)
-	}
-	return nil
-}
-
-// beginRestage stages model mi's weights onto the node's group g,
-// holding the group busy for the reload time.
-func (s *sim) beginRestage(ni int, n *simNode, g, mi int) error {
-	if n.free[g] {
-		n.free[g] = false
-		n.freeCount--
-	}
-	rel, err := n.backend.ReloadTime(s.names[mi], n.spec.GroupSize)
-	if err != nil {
-		return err
-	}
-	from := ""
-	if prev := n.staged[g]; prev >= 0 {
-		from = s.names[prev]
-	}
-	n.staged[g] = mi
-	s.push(&event{at: s.now + rel, kind: evRestage, node: ni, epoch: n.epoch, shard: g})
-	n.restages++
-	n.busy += rel
-	n.winBusy += rel
-	s.tracer.restage(ni, g, s.names[mi], from, s.now, rel)
-	s.timeline.noteRestage()
-	return nil
-}
-
-// freeOrRestage releases a group whose batch or restage finished,
-// unless a controller rebalance queued on it meanwhile.
-func (s *sim) freeOrRestage(ni int, n *simNode, g int) error {
-	if mi, ok := n.pendingRestage[g]; ok {
-		delete(n.pendingRestage, g)
-		if n.staged[g] != mi {
-			return s.beginRestage(ni, n, g, mi)
-		}
-	}
-	n.free[g] = true
-	n.freeCount++
-	return nil
+	return d
 }
 
 // views snapshots every node for a routing decision.
@@ -426,24 +289,23 @@ func (s *sim) views() []NodeView {
 			Index:      i,
 			Name:       n.spec.Name,
 			Accepting:  n.state == stateLive,
-			QueueDepth: n.depth,
+			QueueDepth: n.Depth(),
 			QueueLimit: n.spec.QueueDepth,
-			BusyGroups: n.busyGroups(),
-			Groups:     n.groups,
+			BusyGroups: n.BusyGroups(),
+			Groups:     n.spec.Replicas,
 		}
 	}
 	return views
 }
 
-func (s *sim) onArrival(e *event) error {
-	mi := e.model
+func (s *sim) onArrival(e node.Event) error {
+	mi := e.Model
 	st := s.perModel[mi]
 	s.offered++
 	st.offered++
 	if s.offered == 1 {
 		s.firstArrival = s.now
 	}
-	s.timeline.noteOffered()
 	s.observer.observe(mi, s.now)
 	views := s.views()
 	pick := s.router.Pick(s.names[mi], views)
@@ -453,112 +315,79 @@ func (s *sim) onArrival(e *event) error {
 		// the front door rejects.
 		s.rejectedNoNode++
 		st.rejected++
-		s.timeline.noteRejected()
 		s.tracer.rejectNoNode(s.names[mi], s.now)
 	default:
 		n := s.nodes[pick]
 		n.routed++
-		if n.depth >= n.spec.QueueDepth {
+		if n.Depth() >= n.spec.QueueDepth {
 			s.rejectedFull++
 			n.rejected++
 			st.rejected++
-			s.timeline.noteRejected()
 			s.tracer.rejectFull(pick, s.names[mi], s.now)
 			break
 		}
-		q := &n.queues[mi]
-		q.at = append(q.at, s.now)
-		n.depth++
-		if n.depth > n.maxDepth {
-			n.maxDepth = n.depth
-		}
-		s.depth++
-		if s.depth > s.maxDepth {
-			s.maxDepth = s.depth
+		n.Enqueue(mi, s.now, -1, 0)
+		if d := s.queued(); d > s.maxDepth {
+			s.maxDepth = d
 		}
 	}
-	if at, model, ok := s.gen.next(); ok {
-		mi, err := s.resolve(model)
-		if err != nil {
-			return err
-		}
-		s.push(&event{at: at, kind: evArrival, model: mi})
-	}
-	return nil
+	return s.arrive()
 }
 
-func (s *sim) onCompletion(e *event) {
-	n := s.nodes[e.node]
-	if e.epoch != n.epoch {
+func (s *sim) onCompletion(e node.Event) error {
+	n := s.nodes[e.Node]
+	st := s.perModel[e.Model]
+	k := len(e.Arrivals)
+	if e.Epoch != n.Epoch() {
 		// The batch was in flight when its node was killed: the node's
 		// group state was reset, the requests are lost.
-		k := len(e.arrivals)
 		s.lost += k
 		n.lost += k
-		s.perModel[e.model].lost += k
-		return
+		st.lost += k
+		return nil
 	}
-	if err := s.freeOrRestage(e.node, n, e.shard); err != nil {
-		// beginRestage can only fail on an unknown model, which adopt
-		// already resolved; keep the signature simple.
-		panic(err)
+	if err := n.Finish(s.now, e.Group); err != nil {
+		return err
 	}
-	st := s.perModel[e.model]
-	k := len(e.arrivals)
 	s.served += k
 	n.served += k
 	st.served += k
-	n.servedPerModel[e.model] += k
-	s.timeline.noteServed(k)
+	n.servedPerModel[e.Model] += k
 	if s.now > s.lastCompletion {
 		s.lastCompletion = s.now
 	}
-	for _, at := range e.arrivals {
+	for _, at := range e.Arrivals {
 		lat := s.now - at
 		s.latencies = append(s.latencies, lat)
 		n.latencies = append(n.latencies, lat)
 		st.latencies = append(st.latencies, lat)
 	}
+	return nil
 }
 
-func (s *sim) onLifecycle(e *event) error {
-	n := s.nodes[e.node]
-	switch e.change {
+func (s *sim) onLifecycle(e node.Event) error {
+	n := s.nodes[e.Node]
+	switch kind := EventKind(e.Model); kind {
 	case KillNode:
 		if n.state == stateDown {
 			return fmt.Errorf("cluster: kill of down node %s at %v", n.spec.Name, s.now)
 		}
-		s.tracer.lifecycle(e.node, KillNode, s.now)
+		s.tracer.lifecycle(e.Node, KillNode, s.now)
 		// Queued requests die with the node; in-flight batches are
 		// counted lost when their stale-epoch completions pop.
-		for mi := range n.queues {
-			q := &n.queues[mi]
-			if l := q.qlen(); l > 0 {
-				s.lost += l
-				n.lost += l
-				s.perModel[mi].lost += l
-			}
-			q.at, q.head = nil, 0
+		for mi, st := range s.perModel {
+			l := n.QueueLen(mi)
+			s.lost += l
+			n.lost += l
+			st.lost += l
 		}
-		s.depth -= n.depth
-		n.depth = 0
-		n.epoch++
+		n.Reset()
 		n.state = stateDown
-		for g := range n.free {
-			n.free[g] = true
-			n.staged[g] = -1
-		}
-		n.freeCount = n.groups
-		n.pin = nil
-		n.pendingRestage = nil
-		n.ctrl = nil
-		n.curPlan = nil
-		n.lastLinger = -1
 	case DrainNode:
 		if n.state != stateLive {
 			return fmt.Errorf("cluster: drain of %s node %s at %v", n.state, n.spec.Name, s.now)
 		}
-		s.tracer.lifecycle(e.node, DrainNode, s.now)
+		s.tracer.lifecycle(e.Node, DrainNode, s.now)
 		n.state = stateDraining
 	case JoinNode:
 		switch n.state {
@@ -577,216 +406,39 @@ func (s *sim) onLifecycle(e *event) error {
 				if shares == nil {
 					shares = s.initialMix
 				}
-				if err := s.planNode(e.node, n, shares); err != nil {
+				if err := s.planNode(n, shares); err != nil {
 					return err
 				}
 			}
 		}
-		s.tracer.lifecycle(e.node, JoinNode, s.now)
+		s.tracer.lifecycle(e.Node, JoinNode, s.now)
 	}
 	return nil
 }
 
-// tryDispatchAll applies each non-down node's micro-batching policy;
-// draining nodes keep dispatching their queued work.
-func (s *sim) tryDispatchAll() error {
-	for ni, n := range s.nodes {
-		if n.state == stateDown {
-			continue
-		}
-		if err := s.tryDispatch(ni, n); err != nil {
-			return err
-		}
-	}
-	return nil
+// Dispatched charges a batch to its node's occupancy and trace lane
+// (node.Driver).
+func (s *sim) Dispatched(nd *node.Node, b node.Batch) {
+	n := s.nodes[nd.ID()]
+	n.busy += b.Service + b.Reload
+	n.winBusy += b.Service + b.Reload
+	s.tracer.batch(nd.ID(), b.Group, s.names[b.Model], b.Size, !b.Warm, nd.Batches, b.At, b.Service, b.Reload)
 }
 
-// tryDispatch is the single-node ready/linger loop, verbatim from
-// serve.Simulate: a model is ready with a full batch or a lingered
-// head; among ready models the oldest head dispatches first, onto the
-// group serve's shared pick policy chooses.
-func (s *sim) tryDispatch(ni int, n *simNode) error {
-	var ready []int
-	for n.depth > 0 && n.freeCount > 0 {
-		nextDeadline := time.Duration(-1)
-		best := -1
-		var bestAt time.Duration
-		ready = ready[:0]
-		for mi := range n.queues {
-			q := &n.queues[mi]
-			if q.qlen() == 0 {
-				continue
-			}
-			head := q.at[q.head]
-			if q.qlen() < n.spec.MaxBatch && s.now < head+n.spec.MaxLinger {
-				if dl := head + n.spec.MaxLinger; nextDeadline < 0 || dl < nextDeadline {
-					nextDeadline = dl
-				}
-				continue
-			}
-			if n.pin == nil {
-				if best < 0 || head < bestAt {
-					best, bestAt = mi, head
-				}
-			} else {
-				ready = append(ready, mi)
-			}
-		}
-		scheduleLinger := func() {
-			if nextDeadline >= 0 && nextDeadline != n.lastLinger {
-				s.push(&event{at: nextDeadline, kind: evLinger, node: ni})
-				n.lastLinger = nextDeadline
-			}
-		}
-		if n.pin == nil {
-			if best < 0 {
-				scheduleLinger()
-				return nil
-			}
-			shard, warm, _ := s.claimShard(n, best)
-			if err := s.dispatchBatch(ni, n, best, shard, warm); err != nil {
-				return err
-			}
-			continue
-		}
-		if len(ready) == 0 {
-			scheduleLinger()
-			return nil
-		}
-		sort.SliceStable(ready, func(i, j int) bool {
-			a, b := &n.queues[ready[i]], &n.queues[ready[j]]
-			return a.at[a.head] < b.at[b.head]
-		})
-		dispatched := false
-		for _, mi := range ready {
-			shard, warm, ok := s.claimShard(n, mi)
-			if !ok {
-				continue
-			}
-			if err := s.dispatchBatch(ni, n, mi, shard, warm); err != nil {
-				return err
-			}
-			dispatched = true
-			break
-		}
-		if !dispatched {
-			scheduleLinger()
-			return nil
-		}
-	}
-	return nil
+// Replanning marks a node controller's re-plan, before its restage
+// spans (node.Driver).
+func (s *sim) Replanning(nd *node.Node, at time.Duration, drift float64, restages int) {
+	s.tracer.replan(nd.ID(), at, nd.Replans+1, drift, restages)
 }
 
-// claimShard claims the node's best free group for the model via the
-// serving tier's shared policies.
-func (s *sim) claimShard(n *simNode, model int) (id int, warm, ok bool) {
-	if n.pin == nil {
-		id, warm = serve.PickWarmFirst(n.free, n.staged, model)
-		if id < 0 {
-			panic("cluster: claimShard with no free group")
-		}
-	} else {
-		id, warm = serve.PickPlannedGroup(n.free, n.staged, n.pin, model)
-		if id < 0 {
-			return -1, false, false
-		}
+// Restaged charges a planner restage to its node (node.Driver).
+func (s *sim) Restaged(nd *node.Node, op node.Op, at time.Duration) {
+	n := s.nodes[nd.ID()]
+	n.busy += op.Cost
+	n.winBusy += op.Cost
+	from := ""
+	if op.From >= 0 {
+		from = s.names[op.From]
 	}
-	n.free[id] = false
-	n.freeCount--
-	if !warm {
-		n.staged[id] = model
-	}
-	return id, warm, true
-}
-
-// dispatchBatch pops one batch of the model onto the claimed group and
-// schedules its completion, feeding the node's drift controller.
-func (s *sim) dispatchBatch(ni int, n *simNode, mi, shard int, warmHit bool) error {
-	q := &n.queues[mi]
-	take := q.qlen()
-	if take > n.spec.MaxBatch {
-		take = n.spec.MaxBatch
-	}
-	batch := append([]time.Duration(nil), q.at[q.head:q.head+take]...)
-	q.head += take
-	n.depth -= take
-	s.depth -= take
-	if q.head == len(q.at) {
-		q.at, q.head = q.at[:0], 0
-	} else if q.head > 4096 && q.head > len(q.at)/2 {
-		q.at = append(q.at[:0], q.at[q.head:]...)
-		q.head = 0
-	}
-	name := s.names[mi]
-	st, err := n.backend.ServiceTime(name, take, n.spec.GroupSize)
-	if err != nil {
-		return err
-	}
-	var rel time.Duration
-	if !warmHit {
-		if rel, err = n.backend.ReloadTime(name, n.spec.GroupSize); err != nil {
-			return err
-		}
-	}
-	occupancy := st + rel
-	s.push(&event{at: s.now + occupancy, kind: evCompletion, node: ni, epoch: n.epoch, shard: shard, model: mi, arrivals: batch})
-	n.batches++
-	n.batched += take
-	ms := s.perModel[mi]
-	ms.servedBy[ni] = true
-	if warmHit {
-		n.warm++
-		ms.warm++
-	} else {
-		n.cold++
-		ms.cold++
-	}
-	n.busy += occupancy
-	n.winBusy += occupancy
-	s.timeline.noteDispatch(warmHit)
-	s.tracer.batch(ni, shard, name, take, !warmHit, n.batches, s.now, st, rel)
-	if n.ctrl != nil {
-		n.ctrl.Observe(name, take, s.now)
-		// Drift must be read before MaybeReplan: an applied re-plan
-		// rebases the controller's reference mix, zeroing it.
-		var drift float64
-		if s.tracer != nil {
-			drift = n.ctrl.Drift()
-		}
-		if next, ops, ok := n.ctrl.MaybeReplan(s.now); ok {
-			s.tracer.replan(ni, s.now, n.replans+1, drift, len(ops))
-			if err := s.applyReplan(ni, n, next, ops); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// applyReplan adopts a node controller's re-plan, staging the delta on
-// each group as it frees up.
-func (s *sim) applyReplan(ni int, n *simNode, next *plan.Plan, ops []plan.Restage) error {
-	if err := s.adoptPlan(n, next); err != nil {
-		return err
-	}
-	n.replans++
-	s.timeline.noteReplan()
-	clear(n.pendingRestage)
-	for _, op := range ops {
-		mi, err := s.resolve(op.To)
-		if err != nil {
-			return err
-		}
-		if n.staged[op.Group] == mi {
-			continue
-		}
-		if n.free[op.Group] {
-			if err := s.beginRestage(ni, n, op.Group, mi); err != nil {
-				return err
-			}
-		} else {
-			n.pendingRestage[op.Group] = mi
-		}
-	}
-	return nil
+	s.tracer.restage(nd.ID(), op.Group, s.names[op.Model], from, at, op.Cost)
 }

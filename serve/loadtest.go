@@ -196,7 +196,7 @@ func LoadTest(srv *Server, load Load, inputs func(i int, model string) *neuralca
 	}
 	// Resolve every mix entry — including scheduled shifts — up front
 	// so unknown models fail fast.
-	for _, name := range load.models() {
+	for _, name := range load.traffic().Models() {
 		if _, err := srv.backend.Lookup(name); err != nil {
 			return nil, err
 		}
@@ -308,13 +308,13 @@ func LoadTest(srv *Server, load Load, inputs func(i int, model string) *neuralca
 // clock: sleep to each generated arrival offset, TrySubmit (full queue =
 // counted rejection), collect completions asynchronously.
 func openLoop(srv *Server, load Load, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
-	gen := load.arrivals()
+	gen := load.traffic().Arrivals()
 	start := time.Now()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for i := 0; ; i++ {
-		at, model, key, ok := gen.next()
+		at, model, key, ok := gen.Next()
 		if !ok {
 			return nil
 		}
@@ -354,14 +354,14 @@ func openLoop(srv *Server, load Load, inputs func(i int, model string) *neuralca
 }
 
 // closedLoop runs Load.Concurrency user goroutines against the server,
-// each keeping exactly one request in flight: think (Load.think), draw a
+// each keeping exactly one request in flight: think (Traffic.Think), draw a
 // model from the mix, Submit (blocking — admission control is the
 // population cap, so nothing is rejected), wait for completion, repeat.
 // A shared atomic counter meters the Requests budget; Duration bounds
 // the submission window otherwise. Each user owns a seeded generator, so
 // the wall-clock run is as reproducible as real sleeps allow.
 func closedLoop(srv *Server, load Load, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
-	epochs := load.mixEpochs()
+	mixes := load.traffic().Mixes()
 	start := time.Now()
 	var arrivals atomic.Int64
 	var failed atomic.Bool
@@ -385,19 +385,19 @@ func closedLoop(srv *Server, load Load, inputs func(i int, model string) *neural
 					return
 				}
 				// Take the budget ticket before thinking — the sim's
-				// nextClosed order — so spent budgets end the run without
+				// NextClosed order — so spent budgets end the run without
 				// one last dead think sleep per user.
 				n := arrivals.Add(1)
 				if load.Requests > 0 && n > int64(load.Requests) {
 					return
 				}
-				if d := load.think(rng); d > 0 {
+				if d := load.traffic().Think(rng); d > 0 {
 					time.Sleep(d)
 				}
 				if load.Requests == 0 && time.Since(start) > load.Duration {
 					return
 				}
-				m, err := srv.backend.Lookup(mixAt(epochs, time.Since(start)).draw(rng))
+				m, err := srv.backend.Lookup(mixes.Draw(time.Since(start), rng))
 				if err != nil {
 					failed.Store(true)
 					errs <- err

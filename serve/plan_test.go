@@ -516,45 +516,6 @@ func TestServerPlannedBitExact(t *testing.T) {
 	}
 }
 
-// TestPickPlanned pins the plan-aware selection order: warm pinned >
-// warm overflow > cold pinned > never-staged overflow > any overflow,
-// and never a foreign pinned group.
-func TestPickPlanned(t *testing.T) {
-	// Groups: 0,1 pinned to A; 2 pinned to B; 3,4 overflow.
-	pinned := []string{"A", "A", "B", "", ""}
-	free := []bool{true, true, true, true, true}
-	staged := []string{"A", "", "B", "A", ""}
-	if id, warm := pickPlanned(free, staged, pinned, "A", "", ""); id != 0 || !warm {
-		t.Fatalf("warm pinned: got %d/%v", id, warm)
-	}
-	// Warm overflow beats cold pinned.
-	free = []bool{false, true, true, true, true}
-	if id, warm := pickPlanned(free, staged, pinned, "A", "", ""); id != 3 || !warm {
-		t.Fatalf("warm overflow: got %d/%v", id, warm)
-	}
-	// Cold pinned beats never-staged overflow.
-	free = []bool{false, true, true, false, true}
-	if id, warm := pickPlanned(free, staged, pinned, "A", "", ""); id != 1 || warm {
-		t.Fatalf("cold pinned: got %d/%v", id, warm)
-	}
-	// Foreign pinned groups are never eligible: only B's group free.
-	free = []bool{false, false, true, false, false}
-	if id, _ := pickPlanned(free, staged, pinned, "A", "", ""); id != -1 {
-		t.Fatalf("foreign pinned group claimed: %d", id)
-	}
-	// Never-staged overflow beats evicting a warm overflow group.
-	free = []bool{false, false, false, true, true}
-	staged = []string{"A", "", "B", "B", ""}
-	if id, warm := pickPlanned(free, staged, pinned, "A", "", ""); id != 4 || warm {
-		t.Fatalf("empty overflow: got %d/%v", id, warm)
-	}
-	// Last resort: evict an overflow group.
-	staged = []string{"A", "", "B", "B", "B"}
-	if id, warm := pickPlanned(free, staged, pinned, "A", "", ""); id != 3 || warm {
-		t.Fatalf("evict overflow: got %d/%v", id, warm)
-	}
-}
-
 // TestSweepGroupsStillReactive guards that SweepGroups ignores plans
 // (it overrides GroupSize per point, which would mismatch).
 func TestSweepGroupsStillReactive(t *testing.T) {

@@ -79,7 +79,9 @@
 //     estimate on cold dispatches. Both are memoized per (model, batch,
 //     group size).
 //
-// Two drivers consume a Backend:
+// Two drivers consume a Backend. Both keep replica groups in the same
+// table, and Simulate runs the whole node scheduling core — the one
+// cluster.Simulate runs on every fleet node (package internal/node):
 //
 //   - NewServer is the asynchronous goroutine server: Submit/TrySubmit,
 //     real wall-clock time, context cancellation, Close-and-drain.
@@ -317,119 +319,6 @@ func shardFor(id, slicesPerSocket, groupSize int) Shard {
 		sh.Width = groupSize
 	}
 	return sh
-}
-
-// pickShard is the warm-first group-selection policy shared by the real
-// Server's shard pool and the simulator: lowest-ordinal free replica
-// group already staging the wanted model (warm), else lowest-ordinal
-// never-staged (empty) free one, else lowest-ordinal free one. Returns
-// -1 when no group is free; the caller marks the claim and restages on
-// cold.
-func pickShard[T comparable](free []bool, staged []T, want, empty T) (id int, warm bool) {
-	bestFree, bestEmpty := -1, -1
-	for i, f := range free {
-		if !f {
-			continue
-		}
-		if staged[i] == want {
-			return i, true
-		}
-		if staged[i] == empty && bestEmpty < 0 {
-			bestEmpty = i
-		}
-		if bestFree < 0 {
-			bestFree = i
-		}
-	}
-	if bestEmpty >= 0 {
-		bestFree = bestEmpty
-	}
-	return bestFree, false
-}
-
-// pickPlanned is the plan-aware variant of pickShard: the model may
-// claim its own pinned groups and the overflow pool, never another
-// model's pinned groups. Preference order: warm pinned > warm overflow
-// > cold pinned > never-staged overflow > any overflow (evict). Returns
-// -1 when no eligible group is free — unlike the reactive policy, a
-// free-but-foreign group does not count.
-func pickPlanned[T comparable](free []bool, staged, pinned []T, want, none, empty T) (id int, warm bool) {
-	coldPinned, overWarm, overEmpty, overAny := -1, -1, -1, -1
-	for i, f := range free {
-		if !f {
-			continue
-		}
-		switch pinned[i] {
-		case want:
-			if staged[i] == want {
-				return i, true
-			}
-			if coldPinned < 0 {
-				coldPinned = i
-			}
-		case none:
-			switch {
-			case staged[i] == want:
-				if overWarm < 0 {
-					overWarm = i
-				}
-			case staged[i] == empty:
-				if overEmpty < 0 {
-					overEmpty = i
-				}
-			}
-			if overAny < 0 {
-				overAny = i
-			}
-		}
-	}
-	if overWarm >= 0 {
-		return overWarm, true
-	}
-	for _, id := range []int{coldPinned, overEmpty, overAny} {
-		if id >= 0 {
-			return id, false
-		}
-	}
-	return -1, false
-}
-
-// planServable checks that a plan leaves every registered model an
-// eligible replica group: a pinned warm set, or at least one overflow
-// group to serve from cold. Without one, that model's requests would
-// wait forever.
-func planServable(p *plan.Plan, models []*neuralcache.Model) error {
-	if len(p.Overflow) > 0 {
-		return nil
-	}
-	pinned := make(map[string]bool, len(p.Models))
-	for _, mp := range p.Models {
-		if len(mp.Groups) > 0 {
-			pinned[mp.Model] = true
-		}
-	}
-	for _, m := range models {
-		if !pinned[m.Name()] {
-			return fmt.Errorf("serve: plan leaves model %s unservable (no warm set and no overflow groups)", m.Name())
-		}
-	}
-	return nil
-}
-
-// resolvePinned maps a plan's per-group model names onto backend
-// registry lookups, validating every name.
-func resolvePinned(p *plan.Plan, backend Backend) ([]string, error) {
-	for _, mp := range p.Models {
-		if _, err := backend.Lookup(mp.Model); err != nil {
-			return nil, fmt.Errorf("serve: plan names unregistered model %q", mp.Model)
-		}
-		for _, g := range mp.Groups {
-			if g < 0 || g >= p.Groups {
-				return nil, fmt.Errorf("serve: plan pins model %s to group %d of %d", mp.Model, g, p.Groups)
-			}
-		}
-	}
-	return p.Pinned(), nil
 }
 
 // ShardUsage is one replica group's occupancy accounting.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"neuralcache"
+	"neuralcache/internal/node"
 	"neuralcache/plan"
 )
 
@@ -50,53 +51,29 @@ type Response struct {
 // request is one admitted unit of work.
 type request struct {
 	id       uint64
-	model    string // resolved registered model name
+	model    int // registry index
 	input    *neuralcache.Tensor
 	ctx      context.Context
 	enqueued time.Time
 	resp     chan *Response // buffered, capacity 1
 }
 
-// restageOp is one pending planner restage on a group: stage model's
-// weights, paying cost, before the group frees.
-type restageOp struct {
-	model string
-	cost  time.Duration
-}
-
-// shardPool tracks the free replica groups and which model's weights
-// each one has staged. Acquisition is warm-first: a free group already
-// staging the requested model wins over an unstaged one, which wins over
-// evicting another model's weights. Under a residency plan (pinned set)
-// acquisition is plan-aware instead: a model may claim its own pinned
-// groups and the overflow pool, never another model's pinned groups.
-// Only the batcher acquires (single consumer); executor goroutines
-// release.
+// shardPool guards the server's replica-group table (node.Groups, the
+// simulators' table) with a mutex: acquisition is warm-first, or
+// plan-aware under a residency plan. Only the batcher acquires (single
+// consumer); executor goroutines release.
 type shardPool struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	free   []bool
-	staged []string // model staged on each replica; "" = never staged
-	pinned []string // per-group pinned model under a plan; nil = reactive
-	// pendingRestage holds controller rebalances waiting for a busy
-	// group's batch to finish.
-	pendingRestage map[int]restageOp
+	mu   sync.Mutex
+	cond *sync.Cond
+	t    node.Groups
 	// freed wakes the batcher's eligibility wait (planned servers only;
 	// capacity-1, lossy — a pending token already guarantees a wakeup).
 	freed chan struct{}
 }
 
 func newShardPool(n int) *shardPool {
-	p := &shardPool{
-		free:           make([]bool, n),
-		staged:         make([]string, n),
-		pendingRestage: make(map[int]restageOp),
-		freed:          make(chan struct{}, 1),
-	}
+	p := &shardPool{t: node.NewGroups(n), freed: make(chan struct{}, 1)}
 	p.cond = sync.NewCond(&p.mu)
-	for i := range p.free {
-		p.free[i] = true
-	}
 	return p
 }
 
@@ -109,137 +86,41 @@ func (p *shardPool) wake() {
 }
 
 // acquire blocks until an eligible replica group is free and claims the
-// best one for model — the shared warm-first policy (pickShard), or the
-// plan-aware one (pickPlanned) when a pinned set is installed. It
-// reports whether the claim was warm; a cold claim restages the group
-// to model.
-func (p *shardPool) acquire(model string) (id int, warm bool) {
+// best one for model mi, reporting whether the claim was warm; a cold
+// claim restages the group to the model.
+func (p *shardPool) acquire(mi int) (id int, warm bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.pinned == nil {
-			id, warm = pickShard(p.free, p.staged, model, "")
-		} else {
-			id, warm = pickPlanned(p.free, p.staged, p.pinned, model, "", "")
-		}
-		if id >= 0 {
-			p.free[id] = false
-			if !warm {
-				p.staged[id] = model
-			}
+		if id, warm = p.t.Claim(mi); id >= 0 {
 			return id, warm
 		}
 		p.cond.Wait()
 	}
 }
 
-// hasEligible reports whether some free group may serve the model right
+// hasEligible reports whether some free group may serve model mi right
 // now — used by the planned batcher to skip models whose pools are busy
 // instead of head-of-line-blocking in acquire.
-func (p *shardPool) hasEligible(model string) bool {
+func (p *shardPool) hasEligible(mi int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pinned == nil {
-		for _, f := range p.free {
-			if f {
-				return true
-			}
-		}
-		return false
-	}
-	id, _ := pickPlanned(p.free, p.staged, p.pinned, model, "", "")
-	return id >= 0
+	return p.t.Eligible(mi)
 }
 
-// busyCount returns how many replica groups are currently claimed
-// (serving a batch or restaging weights).
-func (p *shardPool) busyCount() int {
+// release frees the group after its batch or restage — unless a
+// controller restage is pending on it, in which case the group stays
+// claimed, the new model's weights are staged, and the caller must pay
+// op.Cost before releasing it again.
+func (p *shardPool) release(id int) (op node.Op, restage bool) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.free {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
-
-// planned reports whether a pinned set is installed.
-func (p *shardPool) planned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pinned != nil
-}
-
-// release frees the group — unless a controller restage is pending on
-// it, in which case the group stays claimed, the new model's weights
-// are staged, and the caller must pay op.cost before finishRestage.
-func (p *shardPool) release(id int) (op restageOp, restage bool) {
-	p.mu.Lock()
-	if op, ok := p.pendingRestage[id]; ok {
-		delete(p.pendingRestage, id)
-		if p.staged[id] != op.model {
-			p.staged[id] = op.model
-			p.mu.Unlock()
-			return op, true
-		}
-	}
-	p.free[id] = true
+	op, restage = p.t.Release(id)
 	p.mu.Unlock()
-	p.cond.Signal()
-	p.wake()
-	return restageOp{}, false
-}
-
-// finishRestage frees a group whose planner restage has completed —
-// unless a newer rebalance queued on it meanwhile, in which case the
-// group stays claimed, the newly pinned model's weights are staged, and
-// the caller must pay op.cost before calling finishRestage again.
-func (p *shardPool) finishRestage(id int) (op restageOp, again bool) {
-	p.mu.Lock()
-	if op, ok := p.pendingRestage[id]; ok {
-		delete(p.pendingRestage, id)
-		if p.staged[id] != op.model {
-			p.staged[id] = op.model
-			p.mu.Unlock()
-			return op, true
-		}
+	if !restage {
+		p.cond.Signal()
+		p.wake()
 	}
-	p.free[id] = true
-	p.mu.Unlock()
-	p.cond.Signal()
-	p.wake()
-	return restageOp{}, false
-}
-
-// replan installs a new pinned set and queues the restage ops: ops on
-// free groups are claimed and returned for the caller to pay their
-// reload (then finishRestage); ops on busy groups wait for release.
-// Groups already staging the op's target skip the physical restage.
-func (p *shardPool) replan(pinned []string, ops []plan.Restage) []plan.Restage {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pinned = pinned
-	// Drop restages queued by a superseded plan: a stale op would
-	// stage a model no longer pinned to the group. A group left
-	// staged-mismatched pays one cold dispatch on its next claim.
-	clear(p.pendingRestage)
-	var now []plan.Restage
-	for _, op := range ops {
-		if op.Group < 0 || op.Group >= len(p.free) || p.staged[op.Group] == op.To {
-			continue
-		}
-		if p.free[op.Group] {
-			p.free[op.Group] = false
-			p.staged[op.Group] = op.To
-			now = append(now, op)
-		} else {
-			p.pendingRestage[op.Group] = restageOp{model: op.To, cost: op.Cost}
-		}
-	}
-	p.wake()
-	return now
+	return op, restage
 }
 
 // Server is the asynchronous inference service: a bounded admission
@@ -254,6 +135,10 @@ type Server struct {
 
 	queue chan *request
 	pool  *shardPool
+	// names and index map registry indices to model names and back;
+	// each request resolves its model once, at submission.
+	names []string
+	index map[string]int
 
 	// cache is the memoizing front-cache (nil when Options.Cache is
 	// off): submissions with an input tensor probe it before admission,
@@ -344,6 +229,13 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
+	registered := backend.Models()
+	s.names = make([]string, len(registered))
+	s.index = make(map[string]int, len(registered))
+	for i, m := range registered {
+		s.names[i] = m.Name()
+		s.index[m.Name()] = i
+	}
 	s.stats.perModel = make(map[string]*ModelCounters)
 	s.stats.perShard = make([]ShardUsage, o.Replicas)
 	for i := 0; i < o.Replicas; i++ {
@@ -352,16 +244,11 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	// The tracer must attach before plan adoption: startup pre-stages
 	// are part of the recorded lifecycle.
 	if o.Trace != nil {
-		registered := s.backend.Models()
-		names := make([]string, len(registered))
-		for i, m := range registered {
-			names[i] = m.Name()
-		}
 		shards := make([]Shard, o.Replicas)
 		for i := range shards {
 			shards[i] = s.stats.perShard[i].Shard
 		}
-		o.Trace.begin("wall", names, shards, o.Cache.Enabled())
+		o.Trace.begin("wall", s.names, shards, o.Cache.Enabled())
 		s.tracer = o.Trace
 	}
 	if o.Plan != nil {
@@ -373,43 +260,38 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	return s, nil
 }
 
-// adoptPlan installs the residency plan on a fresh server: the pinned
-// set goes live, every pinned group pre-stages its model's weights
-// (busy for the reload time, counted as a restage), and the drift
-// controller attaches when configured. Runs before the batcher starts.
+// adoptPlan installs the residency plan on a fresh server: the pins go
+// live, every pinned group pre-stages its model's weights (busy for the
+// reload time, counted as a restage), and the drift controller attaches
+// when configured. Runs before the batcher starts.
 func (s *Server) adoptPlan(p *plan.Plan, replan plan.ControllerConfig) error {
-	if err := planServable(p, s.backend.Models()); err != nil {
-		return err
+	pin, err := node.Pins(p, s.opts.Replicas, s.names)
+	if err == nil {
+		err = node.Servable(pin, s.names)
 	}
-	pinned, err := resolvePinned(p, s.backend)
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
-	s.pool.pinned = pinned
 	s.activePlan = p
-	for g, model := range pinned {
-		if model == "" {
-			continue
-		}
-		rel, err := s.backend.ReloadTime(model, s.groupSize)
+	s.pool.mu.Lock()
+	ops := s.pool.t.Adopt(pin)
+	s.pool.mu.Unlock()
+	for _, op := range ops {
+		rel, err := s.backend.ReloadTime(s.names[op.Model], s.groupSize)
 		if err != nil {
 			return err
 		}
-		s.pool.free[g] = false
-		s.pool.staged[g] = model
-		s.noteRestage(g, model, "", rel)
+		s.noteRestage(op.Group, s.names[op.Model], "", rel)
 		s.execWG.Add(1)
-		go func(g int, model string, rel time.Duration) {
+		go func(g int, rel time.Duration) {
 			defer s.execWG.Done()
-			s.runRestage(g, model, rel)
-		}(g, model, rel)
+			s.runRestage(g, rel)
+		}(op.Group, rel)
 	}
 	if replan.Enabled() {
-		ctrl, err := plan.NewController(s.backend.System(), s.backend.Models(), p, replan)
-		if err != nil {
+		if s.ctrl, err = plan.NewController(s.backend.System(), s.backend.Models(), p, replan); err != nil {
 			return err
 		}
-		s.ctrl = ctrl
 	}
 	return nil
 }
@@ -427,16 +309,12 @@ func (s *Server) Plan() *plan.Plan {
 // goroutines, busy ones when their batch completes. at is the
 // server-relative time the re-plan fired, drift the controller's mix
 // TV-distance that triggered it — both only feed the tracer.
-func (s *Server) applyReplan(next *plan.Plan, ops []plan.Restage, at time.Duration, drift float64) {
-	// The controller's rebalance keeps every registered model servable
-	// and only names registered models; these guards hold that
-	// invariant at the boundary — on a breach, keep serving on the old
-	// pinned set rather than strand a model's requests.
-	if planServable(next, s.backend.Models()) != nil {
-		return
-	}
-	pinned, err := resolvePinned(next, s.backend)
-	if err != nil {
+func (s *Server) applyReplan(next *plan.Plan, restages []plan.Restage, at time.Duration, drift float64) {
+	// The controller's rebalance keeps every model servable and names
+	// only registered ones; on a breach of that invariant, keep serving
+	// on the old pins rather than strand a model's requests.
+	pin, err := node.Pins(next, s.opts.Replicas, s.names)
+	if err != nil || node.Servable(pin, s.names) != nil {
 		return
 	}
 	s.planMu.Lock()
@@ -446,30 +324,36 @@ func (s *Server) applyReplan(next *plan.Plan, ops []plan.Restage, at time.Durati
 	s.stats.replans++
 	nth := int(s.stats.replans)
 	s.stats.Unlock()
-	s.tracer.replan(at, nth, drift, len(ops))
-	for _, op := range s.pool.replan(pinned, ops) {
-		s.noteRestage(op.Group, op.To, "", op.Cost)
+	s.tracer.replan(at, nth, drift, len(restages))
+	s.pool.mu.Lock()
+	ops, err := s.pool.t.Replan(pin, restages, s.names)
+	s.pool.mu.Unlock()
+	s.pool.wake()
+	if err != nil {
+		return
+	}
+	for _, op := range ops {
+		s.noteRestage(op.Group, s.names[op.Model], "", op.Cost)
 		s.execWG.Add(1)
-		go func(op plan.Restage) {
+		go func(op node.Op) {
 			defer s.execWG.Done()
-			s.runRestage(op.Group, op.To, op.Cost)
+			s.runRestage(op.Group, op.Cost)
 		}(op)
 	}
 }
 
 // runRestage holds a claimed group through its reload, then frees it —
 // chaining into any newer rebalance that queued on the group while it
-// was restaging. staged is the model the group is currently streaming,
-// threaded so chained restages trace what they evict.
-func (s *Server) runRestage(id int, staged string, cost time.Duration) {
+// was restaging.
+func (s *Server) runRestage(id int, cost time.Duration) {
 	for {
 		time.Sleep(cost)
-		op, again := s.pool.finishRestage(id)
+		op, again := s.pool.release(id)
 		if !again {
 			return
 		}
-		s.noteRestage(id, op.model, staged, op.cost)
-		staged, cost = op.model, op.cost
+		s.noteRestage(id, s.names[op.Model], s.names[op.From], op.Cost)
+		cost = op.Cost
 	}
 }
 
@@ -500,7 +384,11 @@ func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
 
 // BusyGroups returns how many replica groups are currently claimed
 // (serving a batch or restaging weights).
-func (s *Server) BusyGroups() int { return s.pool.busyCount() }
+func (s *Server) BusyGroups() int {
+	s.pool.mu.Lock()
+	defer s.pool.mu.Unlock()
+	return s.pool.t.Busy()
+}
 
 // Controller returns the drift controller of a planned server with
 // Options.Replan enabled, nil otherwise. Its read-only methods
@@ -611,7 +499,7 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 	}
 	req := &request{
 		id:       s.nextID.Add(1),
-		model:    name,
+		model:    s.index[name],
 		input:    in,
 		ctx:      ctx,
 		enqueued: time.Now(),
@@ -684,12 +572,12 @@ func (s *Server) admit(ctx context.Context, wait bool, model string) error {
 // oldest head dispatches first.
 func (s *Server) batcher() {
 	defer close(s.batcherDone)
-	planned := s.pool.planned()
-	var eligible func(string) bool
+	planned := s.opts.Plan != nil
+	var eligible func(int) bool
 	if planned {
 		eligible = s.pool.hasEligible
 	}
-	pending := make(map[string][]*request)
+	pending := make(map[int][]*request)
 	total := 0
 	add := func(r *request) {
 		pending[r.model] = append(pending[r.model], r)
@@ -766,13 +654,13 @@ func (s *Server) batcher() {
 				s.flush(pending)
 				return
 			}
-			model, ok := nextReady(pending, time.Now(), s.opts, eligible)
+			mi, ok := nextReady(pending, time.Now(), s.opts, eligible)
 			if !ok {
 				break
 			}
 			// dispatchFrom can block a while claiming a replica, so
 			// re-drain (and re-take the clock) every iteration.
-			total -= s.dispatchFrom(pending, model)
+			total -= s.dispatchFrom(pending, mi)
 		}
 	}
 }
@@ -782,56 +670,52 @@ func (s *Server) batcher() {
 // MaxLinger. Ties break on admission ordinal. A non-nil eligible filter
 // (planned servers) additionally requires a free group the model may
 // claim, so a busy pinned pool cannot head-of-line-block the others.
-func nextReady(pending map[string][]*request, now time.Time, opts Options, eligible func(string) bool) (string, bool) {
-	best, bestID := "", uint64(0)
-	for model, q := range pending {
+func nextReady(pending map[int][]*request, now time.Time, opts Options, eligible func(int) bool) (int, bool) {
+	best, bestID := -1, uint64(0)
+	for mi, q := range pending {
 		head := q[0]
 		if len(q) < opts.MaxBatch && now.Before(head.enqueued.Add(opts.MaxLinger)) {
 			continue
 		}
-		if eligible != nil && !eligible(model) {
+		if eligible != nil && !eligible(mi) {
 			continue
 		}
-		if best == "" || head.id < bestID {
-			best, bestID = model, head.id
+		if best < 0 || head.id < bestID {
+			best, bestID = mi, head.id
 		}
 	}
-	return best, best != ""
+	return best, best >= 0
 }
 
-// dispatchFrom pops one batch of the model from pending and dispatches
+// dispatchFrom pops one batch of model mi from pending and dispatches
 // it, returning how many requests it consumed. The queue-depth counter
 // drops here — not at the channel receive — so requests parked in
 // pending still count as queued, matching the simulator's accounting.
-func (s *Server) dispatchFrom(pending map[string][]*request, model string) int {
-	q := pending[model]
+func (s *Server) dispatchFrom(pending map[int][]*request, mi int) int {
+	q := pending[mi]
 	n := min(len(q), s.opts.MaxBatch)
 	batch := append([]*request(nil), q[:n]...)
 	if n == len(q) {
-		delete(pending, model)
+		delete(pending, mi)
 	} else {
-		pending[model] = q[n:]
+		pending[mi] = q[n:]
 	}
 	s.depth.Add(-int64(n))
 	select {
 	case s.space <- struct{}{}: // wake one Submit blocked in admit
 	default:
 	}
-	s.dispatch(model, batch)
+	s.dispatch(mi, batch)
 	return n
 }
 
 // flush dispatches everything still pending when the queue closes, in
-// oldest-head-first order, so Close drains instead of dropping.
-func (s *Server) flush(pending map[string][]*request) {
+// oldest-head-first order, so Close drains instead of dropping: under a
+// zero batch cap every pending model is ready.
+func (s *Server) flush(pending map[int][]*request) {
 	for len(pending) > 0 {
-		best, bestID := "", uint64(0)
-		for model, q := range pending {
-			if best == "" || q[0].id < bestID {
-				best, bestID = model, q[0].id
-			}
-		}
-		s.dispatchFrom(pending, best)
+		mi, _ := nextReady(pending, time.Time{}, Options{}, nil)
+		s.dispatchFrom(pending, mi)
 	}
 }
 
@@ -840,22 +724,23 @@ func (s *Server) flush(pending map[string][]*request) {
 // queue buffer keeps admitting meanwhile) and executes the batch on its
 // own goroutine, charging the backend's reload cost when the group was
 // not already staging this model.
-func (s *Server) dispatch(model string, batch []*request) {
+func (s *Server) dispatch(mi int, batch []*request) {
+	model := s.names[mi]
 	live := batch[:0]
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			r.resp <- &Response{
 				ID:     r.id,
-				Model:  r.model,
+				Model:  model,
 				Err:    r.ctx.Err(),
 				Shard:  NoShard,
 				Queued: time.Since(r.enqueued),
 			}
 			s.stats.Lock()
 			s.stats.canceled++
-			s.stats.model(r.model).Canceled++
+			s.stats.model(model).Canceled++
 			s.stats.Unlock()
-			s.tracer.cancel(r.model, time.Since(s.started))
+			s.tracer.cancel(model, time.Since(s.started))
 			continue
 		}
 		live = append(live, r)
@@ -879,7 +764,7 @@ func (s *Server) dispatch(model string, batch []*request) {
 			s.applyReplan(next, ops, now, drift)
 		}
 	}
-	id, warm := s.pool.acquire(model)
+	id, warm := s.pool.acquire(mi)
 	dispatched := time.Now()
 	s.execWG.Add(1)
 	go func() {
@@ -965,11 +850,10 @@ func (s *Server) dispatch(model string, batch []*request) {
 		}
 		if op, restage := s.pool.release(id); restage {
 			// A controller rebalance was waiting for this group: hold
-			// it through the new model's §IV-E reload before freeing.
-			// The group was staging this batch's model, so that is what
-			// the restage evicts.
-			s.noteRestage(id, op.model, model, op.cost)
-			s.runRestage(id, op.model, op.cost)
+			// it through the new model's §IV-E reload before freeing,
+			// evicting this batch's model.
+			s.noteRestage(id, s.names[op.Model], model, op.Cost)
+			s.runRestage(id, op.Cost)
 		}
 	}()
 }

@@ -281,16 +281,17 @@ func (tl *simTimeline) finish(end time.Duration, s *sim) *obs.Timeline {
 }
 
 func (tl *simTimeline) sample(at, width time.Duration, s *sim) {
+	n := s.node
 	p := obs.TimelinePoint{
 		T:              at,
-		QueueDepth:     s.depth,
+		QueueDepth:     n.Depth(),
 		Offered:        s.offered - tl.offered,
 		Served:         s.served - tl.served,
 		Rejected:       s.rejected - tl.rejected,
-		WarmDispatches: s.warm - tl.warm,
-		ColdDispatches: s.cold - tl.cold,
-		Restages:       s.restages - tl.restages,
-		Replans:        s.replans - tl.replans,
+		WarmDispatches: n.Warm - tl.warm,
+		ColdDispatches: n.Cold - tl.cold,
+		Restages:       n.Restages - tl.restages,
+		Replans:        n.Replans - tl.replans,
 		CacheHits:      s.cacheHits - tl.cacheHits,
 		GroupUtil:      make([]float64, len(tl.cumBusy)),
 	}
@@ -305,12 +306,12 @@ func (tl *simTimeline) sample(at, width time.Duration, s *sim) {
 		p.GroupUtil[g] = float64(realized-tl.realized[g]) / float64(width)
 		tl.realized[g] = realized
 	}
-	if s.ctrl != nil {
-		p.MixDrift = s.ctrl.Drift()
+	if ctrl := n.Controller(); ctrl != nil {
+		p.MixDrift = ctrl.Drift()
 	}
 	tl.offered, tl.served, tl.rejected = s.offered, s.served, s.rejected
-	tl.warm, tl.cold = s.warm, s.cold
-	tl.restages, tl.replans = s.restages, s.replans
+	tl.warm, tl.cold = n.Warm, n.Cold
+	tl.restages, tl.replans = n.Restages, n.Replans
 	tl.cacheHits = s.cacheHits
 	tl.samples = append(tl.samples, p)
 }

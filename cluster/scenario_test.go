@@ -132,3 +132,31 @@ func TestDrainRejoinLosesNothing(t *testing.T) {
 		t.Errorf("rejoined node ended %s having served %d", n.State, n.Served)
 	}
 }
+
+// TestKillDuringPrestageDropsStaleRestages kills a planned node while
+// its startup pre-stages are still streaming and rejoins it later: the
+// dead incarnation's restage completions must pop stale, leaving the
+// group table untouched — busy groups never go negative and the
+// rejoined node pre-stages a second full round.
+func TestKillDuringPrestageDropsStaleRestages(t *testing.T) {
+	rep, err := Simulate([]*neuralcache.Model{neuralcache.InceptionV3()}, Options{
+		Nodes: []NodeSpec{{Plan: true}, {}},
+		Events: []NodeEvent{
+			{At: time.Millisecond, Node: 0, Kind: KillNode},
+			{At: 50 * time.Millisecond, Node: 0, Kind: JoinNode},
+		},
+		TimelineInterval: 5 * time.Millisecond,
+	}, Load{Rate: 2000, Requests: 400, Seed: 2, Poisson: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	for _, p := range rep.Timeline.Samples {
+		if p.BusyGroups < 0 {
+			t.Fatalf("%d busy groups at %v", p.BusyGroups, p.T)
+		}
+	}
+	if n := rep.Nodes[0]; n.State != "live" || n.Restages != 2*n.Groups {
+		t.Errorf("rejoined node %s with %d restages, want two rounds of %d", n.State, n.Restages, n.Groups)
+	}
+}

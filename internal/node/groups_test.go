@@ -77,26 +77,26 @@ func TestPickShardWarmFirst(t *testing.T) {
 func TestGroupsRestageLifecycle(t *testing.T) {
 	names := []string{"a", "b"}
 	g := NewGroups(2)
-	if id, warm := g.Claim(modelA); id != 0 || warm || g.Busy() != 1 {
+	if id, warm := g.Claim(modelB); id != 0 || warm || g.Busy() != 1 {
 		t.Fatalf("first claim %d/%v, %d busy", id, warm, g.Busy())
 	}
-	pin := []int{modelB, modelA}
+	pin := []int{modelA, modelB}
 	now, err := g.Replan(pin, []plan.Restage{
-		{Group: 0, To: "b", Cost: time.Millisecond},
-		{Group: 1, To: "a"},
+		{Group: 0, To: "a", Cost: time.Millisecond},
+		{Group: 1, To: "b"},
 	}, names)
-	if err != nil || len(now) != 1 || now[0] != (Op{Group: 1, Model: modelA, From: -1}) || g.Busy() != 2 {
+	if err != nil || len(now) != 1 || now[0] != (Op{Group: 1, Model: modelB, From: -1}) || g.Busy() != 2 {
 		t.Fatalf("re-plan began %+v (%v), %d busy; want only the free group", now, err, g.Busy())
 	}
 	op, restage := g.Release(0)
-	if !restage || op != (Op{Group: 0, Model: modelB, From: modelA, Cost: time.Millisecond}) {
+	if !restage || op != (Op{Group: 0, Model: modelA, From: modelB, Cost: time.Millisecond}) {
 		t.Fatalf("release of a group with a pending restage: %+v, %v", op, restage)
 	}
 	if _, restage := g.Release(0); restage || g.Busy() != 1 {
 		t.Fatalf("second release restaged again (%d busy)", g.Busy())
 	}
 	// A newer re-plan supersedes the op pending on busy group 1.
-	if _, err := g.Replan(pin, []plan.Restage{{Group: 1, To: "b"}}, names); err != nil {
+	if _, err := g.Replan(pin, []plan.Restage{{Group: 1, To: "a"}}, names); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Replan(pin, nil, names); err != nil {
@@ -105,11 +105,11 @@ func TestGroupsRestageLifecycle(t *testing.T) {
 	if _, restage := g.Release(1); restage {
 		t.Fatal("a superseded op restaged")
 	}
-	// Group 0 already holds B: ordering B onto it is free.
-	if now, _ := g.Replan(pin, []plan.Restage{{Group: 0, To: "b"}}, names); len(now) != 0 {
+	// Group 0 already holds A: ordering A onto it is free.
+	if now, _ := g.Replan(pin, []plan.Restage{{Group: 0, To: "a"}}, names); len(now) != 0 {
 		t.Fatalf("restaged weights the group already holds: %+v", now)
 	}
-	if id, warm := g.Claim(modelB); id != 0 || !warm {
+	if id, warm := g.Claim(modelA); id != 0 || !warm {
 		t.Fatalf("claim after restage: %d/%v", id, warm)
 	}
 	if _, err := g.Replan(pin, []plan.Restage{{Group: 0, To: "c"}}, names); err == nil {

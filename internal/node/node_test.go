@@ -1,0 +1,95 @@
+package node
+
+import (
+	"testing"
+	"time"
+)
+
+// flatPricer charges every batch 1 ms and every reload 10 ms.
+type flatPricer struct{}
+
+func (flatPricer) ServiceTime(string, int, int) (time.Duration, error) { return time.Millisecond, nil }
+func (flatPricer) ReloadTime(string, int) (time.Duration, error)       { return 10 * time.Millisecond, nil }
+
+// recorder is a Driver that keeps what the node reports.
+type recorder struct{ batches []Batch }
+
+func (r *recorder) Dispatched(_ *Node, b Batch)                   { r.batches = append(r.batches, b) }
+func (r *recorder) Replanning(*Node, time.Duration, float64, int) {}
+func (r *recorder) Restaged(*Node, Op, time.Duration)             {}
+func (r *recorder) models() (out []int) {
+	for _, b := range r.batches {
+		out = append(out, b.Model)
+	}
+	return out
+}
+
+// TestDispatchOrder pins the batch former on one group: a partial batch
+// waits out its linger (scheduling the deadline), a full one goes at
+// once, and ready models go oldest head first with registry order on
+// equal heads.
+func TestDispatchOrder(t *testing.T) {
+	var ev Events
+	rec := &recorder{}
+	n := New(Config{Names: []string{"a", "b", "c"}, Pricer: flatPricer{}, Groups: 1,
+		GroupSize: 1, MaxBatch: 2, Linger: time.Millisecond}, &ev, rec)
+	n.Enqueue(2, 0, -1, 0)
+	n.Enqueue(1, 0, -1, 0)
+	n.Enqueue(0, 0, -1, 0)
+	if err := n.Dispatch(0); err != nil || len(rec.batches) != 0 {
+		t.Fatalf("partial batches dispatched before their linger: %v, %v", rec.models(), err)
+	}
+	if ev.Len() != 1 {
+		t.Fatalf("%d events pending, want the linger deadline", ev.Len())
+	}
+	if e := ev.Pop(); e.Kind != Linger || e.At != time.Millisecond {
+		t.Fatalf("pending event %+v, want a linger at 1ms", e)
+	}
+	// All three heads are equally old: registry order, one per free group.
+	for now := time.Millisecond; n.Depth() > 0; now += 20 * time.Millisecond {
+		if err := n.Dispatch(now); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Finish(now, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rec.models(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("dispatch order %v, want [0 1 2]", got)
+	}
+	// A full batch skips the linger; a partial one waits it out.
+	rec.batches = nil
+	n.Enqueue(1, 100500*time.Microsecond, -1, 0)
+	n.Enqueue(0, 101*time.Millisecond, -1, 0)
+	n.Enqueue(0, 101*time.Millisecond, -1, 0)
+	if err := n.Dispatch(101 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.batches) != 1 || rec.batches[0].Model != 0 || rec.batches[0].Size != 2 {
+		t.Fatalf("full batch of a: dispatched %+v", rec.batches)
+	}
+	n.Finish(101*time.Millisecond, 0)
+	if err := n.Dispatch(101 * time.Millisecond); err != nil || len(rec.batches) != 1 {
+		t.Fatalf("b dispatched before its linger: %+v", rec.batches)
+	}
+	if err := n.Dispatch(101500 * time.Microsecond); err != nil || len(rec.batches) != 2 || rec.batches[1].Model != 1 {
+		t.Fatalf("lingered b: dispatched %+v", rec.batches)
+	}
+	n.Finish(101500*time.Microsecond, 0)
+	// An older head beats registry order.
+	rec.batches = nil
+	n.Enqueue(2, 200*time.Millisecond, -1, 0)
+	n.Enqueue(0, 200500*time.Microsecond, -1, 0)
+	for now := 210 * time.Millisecond; n.Depth() > 0; now += 20 * time.Millisecond {
+		if err := n.Dispatch(now); err != nil {
+			t.Fatal(err)
+		}
+		n.Finish(now, 0)
+	}
+	if got := rec.models(); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+		t.Fatalf("dispatch order %v, want [2 0]", got)
+	}
+	if n.Warm+n.Cold != 7 || n.Batches != 7 {
+		t.Fatalf("%d warm + %d cold of %d batches, want 7", n.Warm, n.Cold, n.Batches)
+	}
+}

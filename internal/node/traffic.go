@@ -225,8 +225,9 @@ type Gen struct {
 	rates  []RateShift // rate timeline; entry 0 is Rate from t = 0
 	count  int
 	at     float64 // seconds: the latest arrival
-	// Uniform spacing counts from arrival first, at anchor, of the rate
-	// epoch in use (t = 0 in the first), so one epoch spaces exactly k/Rate.
+	// Uniform spacing counts from the current rate epoch's first
+	// arrival (ordinal first at time anchor; 0 at t = 0 in the first
+	// epoch), so a single epoch spaces arrival k at exactly k/Rate.
 	epoch, first int
 	anchor       float64
 }

@@ -243,16 +243,24 @@ func (s *sim) arrive() error {
 
 // planNode computes a residency plan for the node from the given
 // shares and adopts it, pre-staging every pinned group. Zero-weight
-// shares are floored to a tiny epsilon so every registered model keeps
-// a warm set (the plan has no overflow pool; an unpinned model's
-// requests could never dispatch) — the same rationale as
+// shares are floored to a tiny epsilon, and registered models missing
+// from the shares are appended at that epsilon, so every registered
+// model keeps a warm set (the plan has no overflow pool; an unpinned
+// model's requests could never dispatch) — the same rationale as
 // plan.Rebalance's floor.
 func (s *sim) planNode(n *simNode, shares []plan.Share) error {
-	floored := make([]plan.Share, len(shares))
-	copy(floored, shares)
-	for i := range floored {
-		if floored[i].Weight == 0 {
-			floored[i].Weight = 1e-9
+	floored := make([]plan.Share, 0, len(s.names))
+	present := make(map[string]bool, len(shares))
+	for _, sh := range shares {
+		if sh.Weight == 0 {
+			sh.Weight = 1e-9
+		}
+		floored = append(floored, sh)
+		present[sh.Model] = true
+	}
+	for _, name := range s.names {
+		if !present[name] {
+			floored = append(floored, plan.Share{Model: name, Weight: 1e-9})
 		}
 	}
 	p, err := plan.Compute(n.sys, s.models, floored, plan.Options{

@@ -428,6 +428,32 @@ func TestKilledPlannedNodeRejoinsCold(t *testing.T) {
 	}
 }
 
+// TestPlannedNodeServesModelsAbsentFromLaunchMix: a planned node plans
+// over the launch mix, so a registered model with no share there must
+// still get a warm set, or the requests for it that arrive after a mix
+// shift queue forever and break conservation.
+func TestPlannedNodeServesModelsAbsentFromLaunchMix(t *testing.T) {
+	rep, err := Simulate(testModels(), Options{Nodes: []NodeSpec{{Plan: true}}}, Load{
+		Rate: 500, Requests: 2000, Seed: 3, Poisson: true,
+		Mix: []serve.ModelShare{
+			{Model: "inception_v3", Weight: 0.5},
+			{Model: "resnet_18", Weight: 0.5},
+		},
+		MixSchedule: []serve.MixShift{
+			{At: time.Second, Mix: []serve.ModelShare{{Model: "small_cnn", Weight: 1}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	for _, m := range rep.PerModel {
+		if m.Offered > 0 && m.Served == 0 {
+			t.Errorf("%s: offered %d, served none", m.Model, m.Offered)
+		}
+	}
+}
+
 // TestLifecycleErrors: a scenario whose transitions don't make sense
 // at fire time must fail the run, not silently skip.
 func TestLifecycleErrors(t *testing.T) {

@@ -13,8 +13,9 @@ type InferenceResult struct {
 	// Logits holds the classifier layer's raw accumulators when the model
 	// ends in a logits layer; argmax over it is the predicted class.
 	Logits []int32
-	// ComputeCycles / AccessCycles are the emergent stepped-microcode
-	// counters summed over all simulated arrays.
+	// ComputeCycles / AccessCycles are the emergent microcode counters
+	// summed over all simulated arrays: faulty arrays step the microcode,
+	// healthy ones run fused kernels that charge exactly the same cycles.
 	ComputeCycles uint64
 	AccessCycles  uint64
 	ArraysUsed    int

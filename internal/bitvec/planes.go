@@ -102,20 +102,48 @@ func Unpack64(planes []uint64, n int, vals []uint64) {
 			lim = 8
 		}
 		for g := 0; g*8 < len(vals); g++ {
+			rows := len(vals) - g*8
+			if rows > 8 {
+				rows = 8
+			}
+			if rows == 8 && lim == 8 {
+				unpack8x8(planes[b*8:b*8+8], uint(8*g), vals[g*8:g*8+8], uint(8*b))
+				continue
+			}
 			var x uint64
 			for c := 0; c < lim; c++ {
 				x |= (planes[b*8+c] >> (8 * g) & 0xff) << (8 * c)
 			}
 			x = transpose8x8(x)
-			rows := len(vals) - g*8
-			if rows > 8 {
-				rows = 8
-			}
 			for r := 0; r < rows; r++ {
 				vals[g*8+r] |= (x >> (8 * r) & 0xff) << (8 * b)
 			}
 		}
 	}
+}
+
+// unpack8x8 is Unpack64's unrolled kernel for a full block, the inverse
+// of pack8x8: it transposes the byte at bit offset `at` of eight planes
+// into byte `shift/8` of eight lanes.
+func unpack8x8(p []uint64, at uint, v []uint64, shift uint) {
+	_, _ = p[7], v[7]
+	x := p[0]>>at&0xff |
+		(p[1]>>at&0xff)<<8 |
+		(p[2]>>at&0xff)<<16 |
+		(p[3]>>at&0xff)<<24 |
+		(p[4]>>at&0xff)<<32 |
+		(p[5]>>at&0xff)<<40 |
+		(p[6]>>at&0xff)<<48 |
+		(p[7]>>at&0xff)<<56
+	x = transpose8x8(x)
+	v[0] |= (x & 0xff) << shift
+	v[1] |= (x >> 8 & 0xff) << shift
+	v[2] |= (x >> 16 & 0xff) << shift
+	v[3] |= (x >> 24 & 0xff) << shift
+	v[4] |= (x >> 32 & 0xff) << shift
+	v[5] |= (x >> 40 & 0xff) << shift
+	v[6] |= (x >> 48 & 0xff) << shift
+	v[7] |= (x >> 56) << shift
 }
 
 // PackPlanes transposes up to 256 n-bit elements into n Vec256 bit

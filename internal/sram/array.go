@@ -12,14 +12,20 @@
 // Data elements are stored transposed: all bits of an element live on one
 // bit line, LSB on the lowest word line of the element's row range. Every
 // bit line is an independent lane, so one array is a 256-lane bit-serial
-// vector unit. All composite operations in this package are implemented as
+// vector unit. Every composite operation in this package is defined as
 // stepped microcode — one simulated compute cycle at a time — so the cycle
 // counts reported in Stats are emergent, not asserted; tests check they
-// equal the paper's closed forms (add n+1, multiply n²+5n−2, …).
+// equal the paper's closed forms (add n+1, multiply n²+5n−2, …). Arrays
+// with injected faults run that microcode itself, so every write crosses
+// the fault hook. Healthy arrays run the hot ops (copy, zero, add,
+// multiply slice, reduce step) as fused word-parallel kernels that charge
+// the same cycles and leave the same rows and latches;
+// FuzzFusedMatchesStepped pins them to the stepped microcode.
 package sram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"neuralcache/internal/bitvec"
 )
@@ -274,10 +280,17 @@ func (a *Array) ReadLanes(base, n, first, stride int, out []uint64) {
 
 // gatherLanes is the read kernel behind ReadLanes and ReadElements; it
 // charges nothing. For power-of-two strides below 64 it works a 64-lane
-// window at a time: each row's window word is realigned to the window's
-// first lane, its every stride-th bit is compressed to the low end, and
-// Unpack64 transposes the compressed words into elements. Other strides
-// gather each element's bits row by row.
+// window at a time, each row's window word realigned to the window's
+// first lane; other strides gather each element's bits row by row.
+//
+// A window keeps every stride-th bit line, m = 64/stride elements. Row
+// i's kept bits go to bit i%stride of the stride-bit fields of word
+// y[i/stride], so y[q] holds bits q·stride … q·stride+stride−1 of every
+// element, one field per element. At stride 1 the fields are single bits,
+// y is the window's bit planes, and Unpack64 transposes them. At larger
+// strides, swapping the words' off-diagonal field blocks (the remaining
+// rounds of a 64×64 bit-matrix transpose, Hacker's Delight §7-3) leaves
+// element k whole in y[k].
 func (a *Array) gatherLanes(base, n, first, stride int, out []uint64) {
 	rows := a.rows[base : base+n]
 	if stride >= 64 || stride&(stride-1) != 0 {
@@ -292,39 +305,53 @@ func (a *Array) gatherLanes(base, n, first, stride int, out []uint64) {
 		}
 		return
 	}
-	// Compression step t moves runs of g = 2^t kept bits down by
-	// g·(stride−1), pairing them into runs of 2g at every multiple of
-	// 2g·stride; masks[t] keeps those runs.
 	var sel uint64
 	for pos := 0; pos < 64; pos += stride {
 		sel |= 1 << uint(pos)
 	}
-	var masks [6]uint64
-	steps := 0
-	for g := 1; stride > 1 && g*stride < 64; g *= 2 {
-		for pos := 0; pos < 64; pos += 2 * g * stride {
-			masks[steps] |= (1<<uint(2*g) - 1) << uint(pos)
-		}
-		steps++
-	}
-	per := 64 / stride
-	var pw [64]uint64
-	for lo := 0; lo < len(out); lo += per {
+	k := uint(bits.TrailingZeros(uint(stride)))
+	m, words := 64>>k, (n+stride-1)>>k
+	var y [64]uint64
+	for lo := 0; lo < len(out); lo += m {
 		lane := first + lo*stride
 		w, off := lane>>6, uint(lane&63)
-		for i := range rows {
-			x := rows[i][w] >> off
-			if off != 0 && w+1 < bitvec.Words {
-				x |= rows[i][w+1] << (64 - off)
+		for q := 0; q < words; q++ {
+			var v uint64
+			for i := q << k; i < min((q+1)<<k, n); i++ {
+				x := rows[i][w] >> off
+				if off != 0 && w+1 < bitvec.Words {
+					x |= rows[i][w+1] << (64 - off)
+				}
+				v |= (x & sel) << uint(i&(stride-1))
 			}
-			x &= sel
-			for t := 0; t < steps; t++ {
-				x = (x | x>>uint((1<<t)*(stride-1))) & masks[t]
-			}
-			pw[i] = x
+			y[q] = v
 		}
-		bitvec.Unpack64(pw[:n], n, out[lo:min(lo+per, len(out))])
+		dst := out[lo:min(lo+m, len(out))]
+		if stride == 1 {
+			bitvec.Unpack64(y[:n], n, dst)
+			continue
+		}
+		clear(y[words:m])
+		for j := 32; j >= stride; j >>= 1 {
+			d, mask := j>>k, transposeMasks[bits.TrailingZeros(uint(j))]
+			for q0 := 0; q0 < m; q0 += 2 * d {
+				for q := q0; q < q0+d; q++ {
+					t := (y[q]>>uint(j) ^ y[q+d]) & mask
+					y[q] ^= t << uint(j)
+					y[q+d] ^= t
+				}
+			}
+		}
+		copy(dst, y[:len(dst)])
 	}
+}
+
+// transposeMasks[b] keeps the low 2^b bits of every 2^(b+1)-bit group:
+// the blocks a 64×64 bit-matrix transpose swaps in its round of width
+// 2^b.
+var transposeMasks = [6]uint64{
+	0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
 }
 
 func checkLane(lane int) {

@@ -1,6 +1,7 @@
 package sram
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -116,19 +117,7 @@ func TestFusedReduceStepMatchesStepped(t *testing.T) {
 			}
 			fused.ReduceStep(src, op, w, stride)
 			stepped.ReduceStep(src, op, w, stride)
-			for row := 0; row < WordLines; row++ {
-				if fused.rows[row] != stepped.rows[row] {
-					t.Fatalf("w=%d stride=%d src=%d op=%d: row %d\nfused   %v\nstepped %v",
-						w, stride, src, op, row, fused.rows[row], stepped.rows[row])
-				}
-			}
-			if fused.carry != stepped.carry || fused.tag != stepped.tag {
-				t.Fatalf("w=%d stride=%d: latches diverged: carry %v/%v tag %v/%v",
-					w, stride, fused.carry, stepped.carry, fused.tag, stepped.tag)
-			}
-			if fused.stats != stepped.stats {
-				t.Fatalf("w=%d stride=%d: stats %+v, stepped %+v", w, stride, fused.stats, stepped.stats)
-			}
+			requireSameState(t, fmt.Sprintf("w=%d stride=%d src=%d op=%d", w, stride, src, op), fused, &stepped)
 		}
 	}
 }

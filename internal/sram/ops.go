@@ -6,10 +6,12 @@ import (
 	"neuralcache/internal/bitvec"
 )
 
-// This file contains the composite bit-serial operations, built purely from
-// the single-cycle micro-operations in array.go. Cycle costs are therefore
-// emergent. Where the paper publishes a closed form, the emergent count is
-// asserted in tests:
+// This file contains the composite bit-serial operations, defined by the
+// single-cycle micro-operations in array.go, so cycle costs are emergent.
+// Faulty arrays step those micro-operations; healthy arrays run fused
+// kernels (fusedAdd, fusedMulSlice) whose rows, latches and charges
+// FuzzFusedMatchesStepped pins to the stepped microcode. Where the paper
+// publishes a closed form, the emergent count is asserted in tests:
 //
 //	Add        n+1             (paper §III-B: n+1)            exact
 //	Multiply   n²+4n           (paper §III-C: n²+5n−2)        equal at n=2,
@@ -137,8 +139,8 @@ func (a *Array) addCommon(aBase, bBase, dstBase, n int, storeCarry, pred bool) {
 	if !pred {
 		a.carry = bitvec.Zero() // latch reset on op issue, not a cycle
 	}
-	if a.faults == nil {
-		a.fusedAdd(aBase, bBase, dstBase, n, storeCarry, pred)
+	if a.faults == nil && !pred {
+		a.fusedAdd(aBase, bBase, dstBase, n, storeCarry)
 		return
 	}
 	for i := 0; i < n; i++ {
@@ -149,52 +151,39 @@ func (a *Array) addCommon(aBase, bBase, dstBase, n int, storeCarry, pred bool) {
 	}
 }
 
-// fusedAdd is addCommon's healthy-array fast path: the same ripple add,
-// one word-parallel pass per row without the per-cycle sense plumbing.
-// Cycle accounting and all architectural state (rows, carry and tag
-// latches) match the stepped microcode bit for bit; arrays with injected
-// faults keep the stepped path so every write crosses the fault hook.
-func (a *Array) fusedAdd(aBase, bBase, dstBase, n int, storeCarry, pred bool) {
-	carry := a.carry
-	tag := a.tag
+// fusedAdd is addCommon's healthy-array path for unpredicated adds: the
+// same ripple add, one word-parallel pass per row with both operands and
+// the carry held in locals instead of the per-cycle sense plumbing. In
+// the in-place form (dst == aBase) a row whose addend row and incoming
+// carry are both zero is left untouched: its sum is itself and the carry
+// stays zero. That covers the zero pad above a MulAcc's product and the
+// zero-extended operand of a Σq_a add. Cycle accounting and all
+// architectural state (rows, carry and tag latches) match the stepped
+// microcode bit for bit; predicated adds and arrays with injected faults
+// keep the stepped path, the latter so every write crosses the fault
+// hook.
+func (a *Array) fusedAdd(aBase, bBase, dstBase, n int, storeCarry bool) {
+	c0, c1, c2, c3 := a.carry[0], a.carry[1], a.carry[2], a.carry[3]
+	inPlace := dstBase == aBase
 	for i := 0; i < n; i++ {
-		ra := &a.rows[aBase+i]
 		rb := &a.rows[bBase+i]
-		dst := &a.rows[dstBase+i]
-		if pred {
-			for w := 0; w < bitvec.Words; w++ {
-				x := ra[w] ^ rb[w]
-				and := ra[w] & rb[w]
-				sum := x ^ carry[w]
-				cout := and | x&carry[w]
-				dst[w] = sum&tag[w] | dst[w]&^tag[w]
-				carry[w] = cout&tag[w] | carry[w]&^tag[w]
-			}
-		} else {
-			for w := 0; w < bitvec.Words; w++ {
-				x := ra[w] ^ rb[w]
-				and := ra[w] & rb[w]
-				sum := x ^ carry[w]
-				carry[w] = and | x&carry[w]
-				dst[w] = sum
-			}
+		b0, b1, b2, b3 := rb[0], rb[1], rb[2], rb[3]
+		if inPlace && b0|b1|b2|b3|c0|c1|c2|c3 == 0 {
+			continue
 		}
+		ra := &a.rows[aBase+i]
+		a0, a1, a2, a3 := ra[0], ra[1], ra[2], ra[3]
+		x0, x1, x2, x3 := a0^b0, a1^b1, a2^b2, a3^b3
+		a.rows[dstBase+i] = bitvec.Vec256{x0 ^ c0, x1 ^ c1, x2 ^ c2, x3 ^ c3}
+		c0, c1, c2, c3 = a0&b0|x0&c0, a1&b1|x1&c1, a2&b2|x2&c2, a3&b3|x3&c3
 	}
 	a.stats.ComputeCycles += uint64(n)
 	if storeCarry {
-		dst := &a.rows[dstBase+n]
-		if pred {
-			for w := 0; w < bitvec.Words; w++ {
-				dst[w] = carry[w]&tag[w] | dst[w]&^tag[w]
-				carry[w] &^= tag[w]
-			}
-		} else {
-			*dst = carry
-			carry = bitvec.Vec256{}
-		}
+		a.rows[dstBase+n] = bitvec.Vec256{c0, c1, c2, c3}
+		c0, c1, c2, c3 = 0, 0, 0, 0
 		a.stats.ComputeCycles++
 	}
-	a.carry = carry
+	a.carry = bitvec.Vec256{c0, c1, c2, c3}
 }
 
 // LoadTag senses row r and latches it into the tag latch (one compute
@@ -331,47 +320,84 @@ func (a *Array) MultiplyAsym(aBase, bBase, prod, nA, nB int) {
 	checkDisjoint("Multiply prod", prod, nA+nB, "a", aBase, nA)
 	checkDisjoint("Multiply prod", prod, nA+nB, "b", bBase, nB)
 	a.Zero(prod, nA+nB, false)
-	for i := 0; i < nB; i++ {
-		a.cycleLoadTag(bBase + i)
-		a.carry = bitvec.Zero() // latch reset on issue
-		a.mulSlice(aBase, prod+i, nA)
-	}
+	a.multiplySlices(aBase, bBase, prod, nA, nB, false)
 }
 
-// mulSlice executes one multiplier bit-slice: the tag-predicated add of
-// the nA-bit multiplicand into the shifted product window at win, then
-// the predicated carry store above it. Emergent cost: nA+1 cycles. On
-// healthy arrays the slice runs fused at word granularity; state and
-// cycle accounting match the stepped microcode exactly.
-func (a *Array) mulSlice(aBase, win, nA int) {
-	if a.faults == nil {
-		carry := a.carry
-		tag := a.tag
-		for j := 0; j < nA; j++ {
-			ra := &a.rows[aBase+j]
-			dst := &a.rows[win+j]
-			for w := 0; w < bitvec.Words; w++ {
-				x := ra[w] ^ dst[w]
-				and := ra[w] & dst[w]
-				sum := x ^ carry[w]
-				cout := and | x&carry[w]
-				dst[w] = sum&tag[w] | dst[w]&^tag[w]
-				carry[w] = cout&tag[w] | carry[w]&^tag[w]
-			}
+// multiplySlices runs the nB multiplier bit-slices of a multiply whose
+// product window [prod, prod+nA+nB) was zeroed at issue: slice i loads
+// multiplier row bBase+i into the tag latch, resets the carry latch and
+// adds the multiplicand into the window at prod+i under the tag. With
+// skip set, a slice whose tag is zero on every lane is elided after its
+// LoadTag (the wired-OR flag of MultiplySkip). It returns the number of
+// elided slices. Healthy arrays run each executed slice as
+// fusedMulSlice; arrays with injected faults step it through mulSlice.
+func (a *Array) multiplySlices(aBase, bBase, prod, nA, nB int, skip bool) int {
+	skipped := 0
+	clean := true // no slice has written the window yet
+	for i := 0; i < nB; i++ {
+		a.cycleLoadTag(bBase + i)
+		if skip && a.tag.IsZero() {
+			skipped++
+			continue
 		}
-		top := &a.rows[win+nA]
-		for w := 0; w < bitvec.Words; w++ {
-			top[w] = carry[w]&tag[w] | top[w]&^tag[w]
-			carry[w] &^= tag[w]
+		if a.faults == nil {
+			a.fusedMulSlice(aBase, prod+i, nA, clean)
+		} else {
+			a.carry = bitvec.Zero() // latch reset on issue
+			a.mulSlice(aBase, prod+i, nA)
 		}
-		a.carry = carry
-		a.stats.ComputeCycles += uint64(nA + 1)
-		return
+		clean = false
 	}
+	return skipped
+}
+
+// mulSlice executes one multiplier bit-slice as stepped microcode: the
+// tag-predicated add of the nA-bit multiplicand into the shifted product
+// window at win, then the predicated carry store above it. Emergent
+// cost: nA+1 cycles.
+func (a *Array) mulSlice(aBase, win, nA int) {
 	for j := 0; j < nA; j++ {
 		a.cycleAddBit(aBase+j, win+j, win+j, true)
 	}
 	a.cycleStoreCarry(win+nA, true)
+}
+
+// fusedMulSlice is mulSlice's healthy-array kernel, entered with the
+// slice's multiplier row in the tag latch. The slice's issue resets the
+// carry latch, so the kernel ripples from a zero carry without reading
+// it. It adds A∧T, the multiplicand masked by the tag, without
+// predication. That is
+// exact: an untagged lane adds zero to its window bits from a zero
+// carry, so it keeps its rows and a zero carry, as the predicated add
+// leaves it. The window's top row win+nA is still zero from the issue
+// zeroing (earlier slices write only below it), so the predicated carry
+// store reduces to storing the carry, which is zero on untagged lanes,
+// and leaves the latch zero. When clean is set no earlier slice wrote
+// the window, so the add of A∧T to zero rows is A∧T itself with no
+// carry: the slice stores it and its top row stays zero. Rows, latches
+// and the nA+1 charged cycles match mulSlice exactly.
+func (a *Array) fusedMulSlice(aBase, win, nA int, clean bool) {
+	t0, t1, t2, t3 := a.tag[0], a.tag[1], a.tag[2], a.tag[3]
+	if clean {
+		for j := 0; j < nA; j++ {
+			s := &a.rows[aBase+j]
+			a.rows[win+j] = bitvec.Vec256{s[0] & t0, s[1] & t1, s[2] & t2, s[3] & t3}
+		}
+	} else {
+		var c0, c1, c2, c3 uint64
+		for j := 0; j < nA; j++ {
+			s := &a.rows[aBase+j]
+			m0, m1, m2, m3 := s[0]&t0, s[1]&t1, s[2]&t2, s[3]&t3
+			d := &a.rows[win+j]
+			d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+			x0, x1, x2, x3 := m0^d0, m1^d1, m2^d2, m3^d3
+			*d = bitvec.Vec256{x0 ^ c0, x1 ^ c1, x2 ^ c2, x3 ^ c3}
+			c0, c1, c2, c3 = m0&d0|x0&c0, m1&d1|x1&c1, m2&d2|x2&c2, m3&d3|x3&c3
+		}
+		a.rows[win+nA] = bitvec.Vec256{c0, c1, c2, c3}
+	}
+	a.carry = bitvec.Vec256{}
+	a.stats.ComputeCycles += uint64(nA + 1)
 }
 
 // MulAcc multiplies the n-bit elements at aBase and bBase into the scratch

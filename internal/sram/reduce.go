@@ -48,7 +48,9 @@ func (a *Array) ReduceStep(src, op, w, stride int) {
 
 // fusedReduceStep is ReduceStep's healthy-array fast path. The shift is
 // shiftVec's logical right shift of the 256-bit row by stride lanes; the
-// row, the moved operand and the carry stay in registers.
+// row, the moved operand and the carry stay in registers. A zero source
+// row reached with a zero carry writes its zero moved row and skips the
+// add, whose sum is the row itself.
 func (a *Array) fusedReduceStep(src, op, w, stride int) {
 	words, rem := stride>>6, uint(stride&63)
 	// A shift by 64 is zero in Go, so rem == 0 needs no branch.
@@ -57,6 +59,12 @@ func (a *Array) fusedReduceStep(src, op, w, stride int) {
 	for i := 0; i < w; i++ {
 		s := &a.rows[src+i]
 		s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+		if s0|s1|s2|s3|c0|c1|c2|c3 == 0 {
+			// A zero row moves as a zero row and adds to zero with no
+			// carry, so only the move's write remains.
+			a.rows[op+i] = bitvec.Vec256{}
+			continue
+		}
 		var m0, m1, m2, m3 uint64
 		switch words {
 		case 0:

@@ -46,17 +46,7 @@ func (a *Array) MultiplySkipAsym(aBase, bBase, prod, nA, nB int) int {
 	// the architectural state after MultiplySkip matches Multiply exactly
 	// for every density, including the all-zero multiplier.
 	a.carry = bitvec.Zero()
-	skipped := 0
-	for i := 0; i < nB; i++ {
-		a.cycleLoadTag(bBase + i)
-		if a.tag.IsZero() {
-			skipped++
-			continue // wired-OR flag: no lane needs this partial product
-		}
-		a.carry = bitvec.Zero()
-		a.mulSlice(aBase, prod+i, nA)
-	}
-	return skipped
+	return a.multiplySlices(aBase, bBase, prod, nA, nB, true)
 }
 
 // MulAccSkip is MulAcc with multiplier bit-slice skipping in the multiply

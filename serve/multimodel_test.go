@@ -524,10 +524,14 @@ func TestServerCanceledResponseFields(t *testing.T) {
 // TestLoadTestBatchesUnderBacklog: a backlogged wall-clock server must
 // drain the admission queue into full-ish micro-batches like the
 // simulator does — not dispatch lingered singletons one channel receive
-// at a time.
+// at a time. It prices ResNet-18, whose batch of 16 takes ~113 ms on one
+// slice, so three times capacity is ~1,700 arrivals/s: a rate the
+// wall-clock load generator sustains even under the race detector on a
+// small host. SmallCNN's 256 µs batch would ask for ~750,000/s, which a
+// slow host cannot offer, and then no backlog forms.
 func TestLoadTestBatchesUnderBacklog(t *testing.T) {
 	sys := newSystem(t, 0)
-	m := neuralcache.SmallCNN()
+	m := neuralcache.ResNet18()
 	backend := NewAnalyticBackend(sys, m)
 	opts := Options{MaxBatch: 16, MaxLinger: 2 * time.Millisecond, QueueDepth: 256, Replicas: 4}
 	st, err := backend.ServiceTime("", opts.MaxBatch, 1)

@@ -3,8 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"neuralcache"
 	"neuralcache/serve"
@@ -144,6 +146,51 @@ func TestClusterConcurrentSubmit(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterCloseLeavesNoGoroutines: Close closes every member's
+// server while routed submissions are still running, and once they
+// have returned no goroutine of the cluster or its servers is left.
+func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c := newTestCluster(t, NewPowerOfTwo(3))
+	var wg sync.WaitGroup
+	served := make(chan struct{}, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				resp, err := c.Submit(context.Background(), nil)
+				if errors.Is(err, serve.ErrClosed) {
+					return
+				}
+				if err != nil || resp.Err != nil {
+					t.Errorf("submit: %v / %+v", err, resp)
+					return
+				}
+				if i == 0 {
+					served <- struct{}{}
+				}
+			}
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		<-served
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines 1s after Close, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

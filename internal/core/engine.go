@@ -147,12 +147,18 @@ func (c Config) Validate() error {
 }
 
 // System is a configured Neural Cache engine. Its configuration is
-// immutable; the only state it keeps is a pool of simulated caches that
-// functional runs lease and return clean (see RunFunctionalFaulty), so a
-// System is safe for concurrent use.
+// immutable; the only state it keeps is a free list of simulated caches
+// that functional runs lease and return clean (see RunFunctionalFaulty),
+// so a System is safe for concurrent use. The list is a mutex-guarded
+// slice rather than a sync.Pool: it survives garbage collections and
+// hands a cache to a run on any goroutine. It keeps one cache per run
+// that was ever in flight at once — for a serve.Server, at most one per
+// replica group (each runs one batch at a time) plus the direct Run
+// callers.
 type System struct {
 	cfg    Config
-	caches sync.Pool // *runCache
+	mu     sync.Mutex
+	caches []*runCache // idle, reset caches
 }
 
 // New builds a system, validating the configuration.
@@ -160,14 +166,30 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg}
-	s.caches.New = func() any {
-		return &runCache{
-			cache:   geometry.New(cfg.Geometry),
-			touched: make([]bool, cfg.Geometry.ComputeArrays()),
-		}
+	return &System{cfg: cfg}, nil
+}
+
+// lease takes an idle cache from the free list, or builds one.
+func (s *System) lease() *runCache {
+	s.mu.Lock()
+	if n := len(s.caches); n > 0 {
+		rc := s.caches[n-1]
+		s.caches = s.caches[:n-1]
+		s.mu.Unlock()
+		return rc
 	}
-	return s, nil
+	s.mu.Unlock()
+	return &runCache{
+		cache:   geometry.New(s.cfg.Geometry),
+		touched: make([]bool, s.cfg.Geometry.ComputeArrays()),
+	}
+}
+
+// release returns a reset cache to the free list.
+func (s *System) release(rc *runCache) {
+	s.mu.Lock()
+	s.caches = append(s.caches, rc)
+	s.mu.Unlock()
 }
 
 // Config returns the system configuration.

@@ -117,11 +117,12 @@ func (s *System) RunFunctional(net *nn.Network, in *tensor.Quant) (*FunctionalRe
 // RunFunctionalFaulty is RunFunctional with defect injection: inject is
 // called once per compute array on first use, before any data lands.
 //
-// The run leases a simulated cache from the System's pool and returns it
-// once the run has finished, with or without an error, after resetting
-// every array the run touched (data, latches, counters and injected
-// faults). Every run therefore starts on zeroed, fault-free arrays, as on
-// a fresh geometry.New. A run that panics never returns its cache.
+// The run leases a simulated cache from the System's free list and
+// returns it once the run has finished, with or without an error, after
+// resetting every array the run touched (data, latches, counters and
+// injected faults). Every run therefore starts on zeroed, fault-free
+// arrays, as on a fresh geometry.New. A run that panics never returns
+// its cache.
 func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject FaultInjector) (*FunctionalResult, error) {
 	if in.Shape != net.Input {
 		return nil, fmt.Errorf("core: input shape %v, network expects %v", in.Shape, net.Input)
@@ -136,7 +137,7 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rc := s.caches.Get().(*runCache)
+	rc := s.lease()
 	f := &funcExec{
 		sys:     s,
 		rc:      rc,
@@ -148,7 +149,7 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 	out, err := f.seq(net.Layers, in)
 	stats := rc.cache.Stats()
 	used := rc.reset()
-	s.caches.Put(rc)
+	s.release(rc)
 	if err != nil {
 		return nil, err
 	}

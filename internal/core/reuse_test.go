@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,6 +44,35 @@ func TestPooledRunsMatchFreshSystem(t *testing.T) {
 			}
 			sameResult(t, fmt.Sprintf("round %d %s", round, g.net.Name), got, g.net, g.in)
 		}
+	}
+}
+
+// TestCacheReusedAfterGCOnAnotherGoroutine: a run that follows two
+// garbage collections, on a goroutine of its own, leases the cache an
+// earlier run returned instead of building the geometry and its arrays
+// again, so it allocates under a quarter of what the first run did.
+func TestCacheReusedAfterGCOnAnotherGoroutine(t *testing.T) {
+	sys := smallSystem(t)
+	g := goldenNets()[0]
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		errc := make(chan error)
+		go func() {
+			_, err := sys.RunFunctional(g.net, g.in)
+			errc <- err
+		}()
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := run()
+	runtime.GC()
+	runtime.GC()
+	if second := run(); second*4 >= first {
+		t.Fatalf("second run allocated %d B, first %d B: the cache was rebuilt", second, first)
 	}
 }
 

@@ -59,6 +59,10 @@ func (q *Events) Push(e Event) {
 	q.h[i] = e
 }
 
+// Next returns the earliest pending event's time; the heap must not be
+// empty.
+func (q *Events) Next() time.Duration { return q.h[0].At }
+
 // Pop removes and returns the earliest event.
 func (q *Events) Pop() Event {
 	top, n := q.h[0], len(q.h)-1

@@ -11,8 +11,7 @@ import (
 // Groups is a node's replica-group table: which groups are free, which
 // model (registry index) each has staged (-1: none), each group's
 // pinned model under a plan (-1: overflow; nil pin: no plan), and the
-// re-plan restages waiting for busy groups. Node drives it on the
-// virtual clock; the wall-clock Server holds one under its mutex.
+// re-plan restages waiting for busy groups. Node drives it.
 type Groups struct {
 	free    []bool
 	staged  []int

@@ -1,12 +1,13 @@
 // Package node is the scheduling core of one Neural Cache serving node:
 // per-model admission queues, the ready/linger micro-batch former, the
 // replica-group table (warm-first and plan-aware claims, planner
-// restages, drift-controller re-plans), the virtual clock's event heap
-// and the seeded arrival generator.
+// restages, drift-controller re-plans), the event heap and the seeded
+// arrival generator.
 //
-// serve.Simulate drives one Node, cluster.Simulate one per fleet node
-// on a shared clock, and serve.Server keeps its replica groups in the
-// same Groups table under its mutex. Drivers keep admission,
+// Three drivers run it. serve.Simulate drives one Node on a virtual
+// clock, cluster.Simulate one per fleet node on a shared virtual clock,
+// and serve.Server one on the wall clock under its mutex, where a timer
+// stands in for popping the next event. Drivers keep admission,
 // accounting, tracing and reports; a Node reports each dispatch,
 // restage and re-plan to its Driver at the point it acts, so event and
 // trace order stay the driver's.
@@ -67,7 +68,7 @@ type Tally struct {
 	Warm, Cold int
 }
 
-// Node is one node's scheduling state on a virtual clock.
+// Node is one node's scheduling state; its times are the driver's clock.
 type Node struct {
 	groups Groups
 	cfg    Config

@@ -34,7 +34,10 @@ type Backend interface {
 	// groupSize slices is occupied serving a warm batch of n requests of
 	// the named model. It must be deterministic: the same (model, n,
 	// groupSize) always yields the same duration, and implementations
-	// pre-price per key so repeated dispatches cost a map hit.
+	// pre-price per key so repeated dispatches cost a map hit. Once it
+	// prices n = 1 it must price every batch size: NewServer checks
+	// n = 1, and the node core prices each batch after taking it from
+	// the queue.
 	ServiceTime(model string, n, groupSize int) (time.Duration, error)
 	// ReloadTime returns the §IV-E weight-staging cost a groupSize-slice
 	// group pays before its first batch of the named model after serving

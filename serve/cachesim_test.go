@@ -145,6 +145,9 @@ func TestCachedSimulateBeatsCapacityBound(t *testing.T) {
 	if rep.P99 >= uncached.P99 {
 		t.Fatalf("cached p99 %v not below uncached %v", rep.P99, uncached.P99)
 	}
+	if rep.Rejected >= uncached.Rejected {
+		t.Fatalf("cached run rejected %d, uncached %d", rep.Rejected, uncached.Rejected)
+	}
 	if rep.CapacityPerSec != uncached.CapacityPerSec {
 		t.Fatalf("the cache changed the reported hardware capacity: %.1f vs %.1f", rep.CapacityPerSec, uncached.CapacityPerSec)
 	}

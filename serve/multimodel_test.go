@@ -363,8 +363,8 @@ func TestServerCloseWhileSubmitBlocked(t *testing.T) {
 	}
 	// Saturate deterministically: the first request occupies the replica
 	// (its Execute announces itself, then blocks on the gate), the
-	// second sticks the batcher in its replica claim, and the queue then
-	// fills. Nothing can drain while the gate is held.
+	// second waits in the node's queue for the busy replica, and the
+	// queue then fills. Nothing can drain while the gate is held.
 	if _, err := srv.TrySubmit(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestServerCloseWhileSubmitBlocked(t *testing.T) {
 	if _, err := srv.TrySubmit(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // batcher pulls #2 and blocks acquiring a replica
+	time.Sleep(20 * time.Millisecond) // #2 stays queued: no replica is free to claim
 	for {
 		if _, err := srv.TrySubmit(context.Background(), nil); err == ErrQueueFull {
 			break
@@ -433,8 +433,8 @@ func TestServerQueueHighWaterConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the single replica and the batcher: one request executing
-	// (gated), one stuck in dispatch claiming a replica.
+	// Pin the single replica: one request executing (gated), one queued
+	// behind it, since a batch forms only when its replica is claimed.
 	if _, err := srv.TrySubmit(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestServerQueueHighWaterConcurrent(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	// Concurrent burst: every admission must be observed by the
-	// high-water mark because the batcher cannot dequeue.
+	// high-water mark because nothing can dispatch.
 	const burst = 32
 	done := make(chan error, burst)
 	for i := 0; i < burst; i++ {
@@ -462,8 +462,8 @@ func TestServerQueueHighWaterConcurrent(t *testing.T) {
 	if st.QueueHighWater < burst {
 		t.Fatalf("high water %d under-reports a %d-request burst", st.QueueHighWater, burst)
 	}
-	// Depth counts queued-plus-parked requests; only the burst and the
-	// two priming requests were ever undispatched at once.
+	// Depth counts admitted, undispatched requests; only the burst and
+	// the two priming requests were ever admitted at once.
 	if st.QueueHighWater > burst+2 {
 		t.Fatalf("high water %d exceeds the %d requests ever outstanding", st.QueueHighWater, burst+2)
 	}
@@ -478,7 +478,8 @@ func TestServerQueueHighWaterConcurrent(t *testing.T) {
 
 // TestServerCanceledResponseFields: a request canceled while queued is
 // dropped at dispatch with meaningful accounting — Queued spans
-// admission to drop, Shard is NoShard, BatchSize is 0.
+// admission to drop, Shard is NoShard, BatchSize is 0 — and the group
+// its batch claimed cold still pays the reload.
 func TestServerCanceledResponseFields(t *testing.T) {
 	sys := newSystem(t, 1)
 	m := neuralcache.InceptionV3()
@@ -519,6 +520,24 @@ func TestServerCanceledResponseFields(t *testing.T) {
 	if st.Canceled != 1 || st.PerModel[m.Name()].Canceled != 1 {
 		t.Fatalf("cancellation accounting: %+v", st)
 	}
+	// The node claimed a never-staged group for the canceled batch and
+	// staged the model there: the group is held through the reload and
+	// counted as a cold dispatch of zero requests, and the model's next
+	// request finds it warm.
+	rel, err := srv.backend.ReloadTime(m.Name(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := st.PerShard[0]; st.ColdBatches != 1 || g.Reloads != 1 || g.Busy < rel || g.Requests != 0 {
+		t.Fatalf("canceled cold dispatch: %d cold batches, group 0 %+v, reload %v", st.ColdBatches, g, rel)
+	}
+	live, err := srv.Submit(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Cold || live.Shard != st.PerShard[0].Shard {
+		t.Fatalf("next request served cold=%v on %v, want warm on %v", live.Cold, live.Shard, st.PerShard[0].Shard)
+	}
 }
 
 // TestLoadTestBatchesUnderBacklog: a backlogged wall-clock server must
@@ -555,9 +574,9 @@ func TestLoadTestBatchesUnderBacklog(t *testing.T) {
 		t.Fatalf("mean batch %.2f under 3x-capacity backlog; batching policy degraded to singletons (max %d)",
 			rep.MeanBatch, opts.MaxBatch)
 	}
-	// Admission is bounded like the simulator's: the admitted backlog
-	// (queued plus parked in the batcher) never exceeds QueueDepth, and
-	// sustained overload therefore rejects.
+	// Admission is bounded like the simulator's: the admitted,
+	// undispatched backlog never exceeds QueueDepth, and sustained
+	// overload therefore rejects.
 	if rep.MaxQueueDepth > opts.QueueDepth {
 		t.Fatalf("queue depth reached %d, bound %d", rep.MaxQueueDepth, opts.QueueDepth)
 	}

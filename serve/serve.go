@@ -14,29 +14,31 @@
 // weight reload warms k slices at once (model churn cheapens). Requests
 // enter a bounded admission queue (backpressure: TrySubmit rejects with
 // ErrQueueFull when the queue is full, Submit blocks until space or
-// context cancellation). A dynamic micro-batcher groups queued requests
-// into batches of at most Options.MaxBatch, waiting at most
-// Options.MaxLinger for a fuller batch — batching amortizes per-layer
-// filter loading exactly as §IV-E batches amortize it in the analytic
-// model. The group-shard scheduler dispatches each batch to a free
-// replica group and tracks per-group occupancy, so utilization reports
-// show which groups carried the traffic.
+// context cancellation). The node core's dynamic micro-batcher
+// (package internal/node) groups queued requests into batches of at most
+// Options.MaxBatch, waiting at most Options.MaxLinger for a fuller batch
+// — batching amortizes per-layer filter loading exactly as §IV-E batches
+// amortize it in the analytic model. Its group scheduler dispatches each
+// batch to a free replica group, and the drivers track per-group
+// occupancy, so utilization reports show which groups carried the
+// traffic.
 //
 // # Multi-model residency
 //
 // A backend registers one or more models (the first is the default).
 // Requests name their model (Server.SubmitModel / TrySubmitModel, or
-// Load.Mix for generated traffic), the batcher forms per-model
-// micro-batches, and the scheduler tracks which model's weights each
-// replica group has staged. Dispatch is warm-first: a free group already
-// staging the batch's model wins over an unstaged one, which wins over
-// evicting another model's weights. A cold dispatch — the group's staged
-// model changed, or it is the group's first — pays the modeled §IV-E
-// weight reload (System.EstimateReload: the filter footprint streamed
-// from DRAM at effective bandwidth plus the transpose-gateway pass),
-// charged by both the analytic backend's wall-clock sleep and the
-// virtual-clock simulator. LoadReport splits dispatches into warm/cold
-// counts and carries per-model latency percentiles and throughput.
+// Load.Mix for generated traffic), the node core's batcher forms
+// per-model micro-batches, and its scheduler tracks which model's
+// weights each replica group has staged. Dispatch is warm-first: a free
+// group already staging the batch's model wins over an unstaged one,
+// which wins over evicting another model's weights. A cold dispatch —
+// the group's staged model changed, or it is the group's first — pays
+// the modeled §IV-E weight reload (System.EstimateReload: the filter
+// footprint streamed from DRAM at effective bandwidth plus the
+// transpose-gateway pass), charged by both the analytic backend's
+// wall-clock sleep and the virtual-clock simulator. LoadReport splits
+// dispatches into warm/cold counts and carries per-model latency
+// percentiles and throughput.
 //
 // # Residency planning
 //
@@ -79,12 +81,14 @@
 //     estimate on cold dispatches. Both are memoized per (model, batch,
 //     group size).
 //
-// Two drivers consume a Backend. Both keep replica groups in the same
-// table, and Simulate runs the whole node scheduling core — the one
-// cluster.Simulate runs on every fleet node (package internal/node):
+// Two drivers consume a Backend. Both run the node scheduling core —
+// the one cluster.Simulate runs on every fleet node (package
+// internal/node) — so they form the same batches and claim the same
+// groups; they differ only in the clock:
 //
 //   - NewServer is the asynchronous goroutine server: Submit/TrySubmit,
-//     real wall-clock time, context cancellation, Close-and-drain.
+//     the node on the real wall clock under one mutex, context
+//     cancellation, Close-and-drain.
 //   - Simulate is a deterministic discrete-event simulator on a virtual
 //     clock: it pushes hundreds of thousands of simulated requests
 //     through the same admission/batching/scheduling policy in a few
@@ -136,14 +140,15 @@ var (
 // Options configures admission, batching and scheduling. The zero value
 // is usable: every field defaults sensibly in New/Simulate.
 type Options struct {
-	// QueueDepth bounds the admission queue; requests beyond it are
+	// QueueDepth bounds the admitted, undispatched requests, counted the
+	// same way by Simulate and the Server; requests beyond it are
 	// rejected (TrySubmit) or block (Submit). Default 1024.
 	QueueDepth int
 	// MaxBatch caps the dynamic micro-batch size. Default 16.
 	MaxBatch int
-	// MaxLinger is how long the batcher waits for a fuller batch after
-	// the first request arrives. 0 means the 2ms default; NoLinger (any
-	// negative value) dispatches immediately.
+	// MaxLinger is how long the node core's batcher waits for a fuller
+	// batch after the first request arrives. 0 means the 2ms default;
+	// NoLinger (any negative value) dispatches immediately.
 	MaxLinger time.Duration
 	// GroupSize is the number of consecutive LLC slices forming one
 	// replica group — the scheduling unit. 0 means the system's
@@ -202,7 +207,7 @@ type Options struct {
 	Cache CacheOptions
 }
 
-// NoLinger disables the batcher's linger wait: a batch dispatches as
+// NoLinger disables the node core's linger wait: a batch dispatches as
 // soon as a replica is free, however small it is.
 const NoLinger time.Duration = -1
 

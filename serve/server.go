@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,91 +51,25 @@ type Response struct {
 
 // request is one admitted unit of work.
 type request struct {
-	id       uint64
-	model    int // registry index
-	input    *neuralcache.Tensor
-	ctx      context.Context
-	enqueued time.Time
-	resp     chan *Response // buffered, capacity 1
-}
-
-// shardPool guards the server's replica-group table (node.Groups, the
-// simulators' table) with a mutex: acquisition is warm-first, or
-// plan-aware under a residency plan. Only the batcher acquires (single
-// consumer); executor goroutines release.
-type shardPool struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	t    node.Groups
-	// freed wakes the batcher's eligibility wait (planned servers only;
-	// capacity-1, lossy — a pending token already guarantees a wakeup).
-	freed chan struct{}
-}
-
-func newShardPool(n int) *shardPool {
-	p := &shardPool{t: node.NewGroups(n), freed: make(chan struct{}, 1)}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// wake nudges the batcher's eligibility wait without blocking.
-func (p *shardPool) wake() {
-	select {
-	case p.freed <- struct{}{}:
-	default:
-	}
-}
-
-// acquire blocks until an eligible replica group is free and claims the
-// best one for model mi, reporting whether the claim was warm; a cold
-// claim restages the group to the model.
-func (p *shardPool) acquire(mi int) (id int, warm bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if id, warm = p.t.Claim(mi); id >= 0 {
-			return id, warm
-		}
-		p.cond.Wait()
-	}
-}
-
-// hasEligible reports whether some free group may serve model mi right
-// now — used by the planned batcher to skip models whose pools are busy
-// instead of head-of-line-blocking in acquire.
-func (p *shardPool) hasEligible(mi int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.t.Eligible(mi)
-}
-
-// release frees the group after its batch or restage — unless a
-// controller restage is pending on it, in which case the group stays
-// claimed, the new model's weights are staged, and the caller must pay
-// op.Cost before releasing it again.
-func (p *shardPool) release(id int) (op node.Op, restage bool) {
-	p.mu.Lock()
-	op, restage = p.t.Release(id)
-	p.mu.Unlock()
-	if !restage {
-		p.cond.Signal()
-		p.wake()
-	}
-	return op, restage
+	id    uint64
+	input *neuralcache.Tensor
+	ctx   context.Context
+	at    time.Duration  // admission, since the server started
+	resp  chan *Response // buffered, capacity 1
 }
 
 // Server is the asynchronous inference service: a bounded admission
-// queue feeding a dynamic micro-batcher that forms per-model batches and
-// dispatches them to free replica groups, warm-first. Create with
-// NewServer, stop with Close.
+// queue in front of the node core (package internal/node) — the
+// micro-batcher and replica-group scheduler Simulate drives on its
+// virtual clock — run here on the wall clock under one mutex. A batch
+// forms when a replica group is claimed for it, so under backlog it
+// takes every request of its model queued by then, up to MaxBatch.
+// Create with NewServer, stop with Close.
 type Server struct {
-	backend   Backend
-	opts      Options
-	slices    int // slices per socket, for shard naming
-	groupSize int // slices per replica group
+	backend Backend
+	opts    Options
+	slices  int // slices per socket, for shard naming
 
-	queue chan *request
-	pool  *shardPool
 	// names and index map registry indices to model names and back;
 	// each request resolves its model once, at submission.
 	names []string
@@ -150,62 +85,38 @@ type Server struct {
 	// from started); nil when tracing is off — every emit is a no-op.
 	tracer *Tracer
 
-	// ctrl is the drift controller of a planned server (nil otherwise);
-	// activePlan tracks the plan currently applied, swapped on replan.
-	ctrl       *plan.Controller
-	planMu     sync.Mutex
-	activePlan *plan.Plan
-
-	mu         sync.RWMutex // guards closed against concurrent Submit/Close
-	closed     bool
-	closing    chan struct{}  // closed by Close; wakes Submits blocked on a full queue
-	submitters sync.WaitGroup // in-flight submit calls past the closed check
-
-	batcherDone chan struct{}
-	execWG      sync.WaitGroup
-
 	nextID  atomic.Uint64
 	started time.Time
 
-	// depth is the admitted-minus-dispatched request count — requests in
-	// the queue channel or parked in the batcher's per-model pending
-	// lists. It is the authoritative admission bound: admit reserves a
-	// slot (depth < QueueDepth, the simulator's rule) before the queue
-	// send and dispatchFrom releases it, so concurrent submitters cannot
-	// under-report the high-water mark and backlog memory stays bounded.
-	depth        atomic.Int64
-	highWater    atomic.Int64
-	depthSum     atomic.Int64  // Σ depth sampled at each admission
-	depthSamples atomic.Int64  //
-	space        chan struct{} // freed-slot wakeup for Submits blocked in admit
+	// mu guards everything below. cond is broadcast after every
+	// scheduling pass and on Close and caller cancellation: Submits
+	// blocked on a full queue and Close wait on it.
+	mu     sync.Mutex
+	cond   *sync.Cond
+	node   *node.Node
+	events node.Events
+	// fifo holds each model's admitted, undispatched requests in the
+	// node's queue order: a dispatch of k takes the first k.
+	fifo   [][]*request
+	closed bool
+	// timer runs schedule at timerAt, the earliest pending event, while
+	// armed; an armed timer counts in execWG until it fires or stops.
+	timer   *time.Timer
+	timerAt time.Duration
+	armed   bool
+	execWG  sync.WaitGroup // executors and the armed timer
 
-	stats serverStats
-}
-
-// serverStats is the mutex-guarded counter block of a Server.
-type serverStats struct {
-	sync.Mutex
 	submitted, rejected, served, failed, canceled uint64
-	batches, batched                              uint64
-	warmBatches, coldBatches                      uint64
-	restages, replans                             uint64
-	perModel                                      map[string]*ModelCounters
+	depthSum, depthSamples                        int64
+	models                                        []ModelCounters // by registry index; batch counts live in the node
 	perShard                                      []ShardUsage
 }
 
-// model returns the (lazily created) counters for a registered model;
-// callers hold the stats mutex.
-func (st *serverStats) model(name string) *ModelCounters {
-	c := st.perModel[name]
-	if c == nil {
-		c = &ModelCounters{}
-		st.perModel[name] = c
-	}
-	return c
-}
-
 // NewServer starts a server on the backend. The returned server is
-// accepting requests; call Close to drain and stop it.
+// accepting requests; call Close to drain and stop it. Every registered
+// model is priced once here, at batch 1 and for a reload, and an error
+// is returned when one cannot be: the node core prices each batch after
+// taking it from the queue, where a failure would strand it.
 func NewServer(backend Backend, opts Options) (*Server, error) {
 	sys := backend.System()
 	o, err := opts.withDefaults(sys)
@@ -213,17 +124,12 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		backend:     backend,
-		opts:        o,
-		slices:      sys.Config().Slices,
-		groupSize:   o.GroupSize,
-		queue:       make(chan *request, o.QueueDepth),
-		pool:        newShardPool(o.Replicas),
-		closing:     make(chan struct{}),
-		space:       make(chan struct{}, 1),
-		batcherDone: make(chan struct{}),
-		started:     time.Now(),
+		backend: backend,
+		opts:    o,
+		slices:  sys.Config().Slices,
+		started: time.Now(),
 	}
+	s.cond = sync.NewCond(&s.mu)
 	if o.Cache.Enabled() {
 		if s.cache, err = NewCache(o.Cache); err != nil {
 			return nil, err
@@ -233,167 +139,289 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	s.names = make([]string, len(registered))
 	s.index = make(map[string]int, len(registered))
 	for i, m := range registered {
+		if _, err := backend.ServiceTime(m.Name(), 1, o.GroupSize); err != nil {
+			return nil, err
+		}
+		if _, err := backend.ReloadTime(m.Name(), o.GroupSize); err != nil {
+			return nil, err
+		}
 		s.names[i] = m.Name()
 		s.index[m.Name()] = i
 	}
-	s.stats.perModel = make(map[string]*ModelCounters)
-	s.stats.perShard = make([]ShardUsage, o.Replicas)
-	for i := 0; i < o.Replicas; i++ {
-		s.stats.perShard[i].Shard = shardFor(i, s.slices, s.groupSize)
+	s.models = make([]ModelCounters, len(registered))
+	s.fifo = make([][]*request, len(registered))
+	s.perShard = make([]ShardUsage, o.Replicas)
+	for i := range s.perShard {
+		s.perShard[i].Shard = shardFor(i, s.slices, o.GroupSize)
 	}
 	// The tracer must attach before plan adoption: startup pre-stages
 	// are part of the recorded lifecycle.
 	if o.Trace != nil {
 		shards := make([]Shard, o.Replicas)
 		for i := range shards {
-			shards[i] = s.stats.perShard[i].Shard
+			shards[i] = s.perShard[i].Shard
 		}
 		o.Trace.begin("wall", s.names, shards, o.Cache.Enabled())
 		s.tracer = o.Trace
 	}
+	s.node = node.New(node.Config{
+		Name:      "serve",
+		Servable:  true,
+		Names:     s.names,
+		Pricer:    backend,
+		Groups:    o.Replicas,
+		GroupSize: o.GroupSize,
+		MaxBatch:  o.MaxBatch,
+		Linger:    o.MaxLinger,
+		Drift:     s.tracer != nil,
+	}, &s.events, (*driver)(s))
 	if o.Plan != nil {
-		if err := s.adoptPlan(o.Plan, o.Replan); err != nil {
+		var ctrl *plan.Controller
+		if o.Replan.Enabled() {
+			if ctrl, err = plan.NewController(sys, registered, o.Plan, o.Replan); err != nil {
+				return nil, err
+			}
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.node.Adopt(s.now(), o.Plan, ctrl); err != nil {
 			return nil, err
 		}
+		s.schedule() // time the pre-stages
 	}
-	go s.batcher()
 	return s, nil
 }
 
-// adoptPlan installs the residency plan on a fresh server: the pins go
-// live, every pinned group pre-stages its model's weights (busy for the
-// reload time, counted as a restage), and the drift controller attaches
-// when configured. Runs before the batcher starts.
-func (s *Server) adoptPlan(p *plan.Plan, replan plan.ControllerConfig) error {
-	pin, err := node.Pins(p, s.opts.Replicas, s.names)
-	if err == nil {
-		err = node.Servable(pin, s.names)
-	}
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	s.activePlan = p
-	s.pool.mu.Lock()
-	ops := s.pool.t.Adopt(pin)
-	s.pool.mu.Unlock()
-	for _, op := range ops {
-		rel, err := s.backend.ReloadTime(s.names[op.Model], s.groupSize)
-		if err != nil {
-			return err
-		}
-		s.noteRestage(op.Group, s.names[op.Model], "", rel)
-		s.execWG.Add(1)
-		go func(g int, rel time.Duration) {
-			defer s.execWG.Done()
-			s.runRestage(g, rel)
-		}(op.Group, rel)
-	}
-	if replan.Enabled() {
-		if s.ctrl, err = plan.NewController(s.backend.System(), s.backend.Models(), p, replan); err != nil {
-			return err
+// now is the wall clock the node runs on: the time since the server
+// started.
+func (s *Server) now() time.Duration { return time.Since(s.started) }
+
+// schedule brings the node up to the wall clock: restages that are due
+// end, the node dispatches whatever is ready, and the timer is re-armed
+// for the earliest pending event. Due Linger and Completion events need
+// only the dispatch; a Completion carries its priced time, the executor
+// reports the real one, and it is popped only to keep the heap bounded.
+// Callers hold mu.
+//
+// The node's errors are dropped. Pricing cannot fail once NewServer has
+// priced every model, and a re-plan the node refuses keeps the old pins
+// after the batch that triggered it went out; the next completion runs
+// another pass.
+func (s *Server) schedule() {
+	now := s.now()
+	for s.events.Len() > 0 && s.events.Next() <= now {
+		if e := s.events.Pop(); e.Kind == node.Restage {
+			_ = s.node.Finish(now, e.Group)
 		}
 	}
-	return nil
+	_ = s.node.Dispatch(now)
+	s.cond.Broadcast()
+	s.arm()
 }
 
-// Plan returns the residency plan currently applied (the last
-// controller re-plan, or Options.Plan), nil for reactive servers.
-func (s *Server) Plan() *plan.Plan {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	return s.activePlan
-}
-
-// applyReplan swaps in a controller re-plan from the batcher goroutine:
-// the pool repins, free groups restage immediately on their own
-// goroutines, busy ones when their batch completes. at is the
-// server-relative time the re-plan fired, drift the controller's mix
-// TV-distance that triggered it — both only feed the tracer.
-func (s *Server) applyReplan(next *plan.Plan, restages []plan.Restage, at time.Duration, drift float64) {
-	// The controller's rebalance keeps every model servable and names
-	// only registered ones; on a breach of that invariant, keep serving
-	// on the old pins rather than strand a model's requests.
-	pin, err := node.Pins(next, s.opts.Replicas, s.names)
-	if err != nil || node.Servable(pin, s.names) != nil {
+// arm makes the timer fire at the earliest pending event. An idle node
+// — nothing queued, no group busy — needs no wakeup. Callers hold mu.
+func (s *Server) arm() {
+	if s.events.Len() == 0 || s.node.Depth() == 0 && s.node.BusyGroups() == 0 {
 		return
 	}
-	s.planMu.Lock()
-	s.activePlan = next
-	s.planMu.Unlock()
-	s.stats.Lock()
-	s.stats.replans++
-	nth := int(s.stats.replans)
-	s.stats.Unlock()
-	s.tracer.replan(at, nth, drift, len(restages))
-	s.pool.mu.Lock()
-	ops, err := s.pool.t.Replan(pin, restages, s.names)
-	s.pool.mu.Unlock()
-	s.pool.wake()
-	if err != nil {
-		return
-	}
-	for _, op := range ops {
-		s.noteRestage(op.Group, s.names[op.Model], "", op.Cost)
-		s.execWG.Add(1)
-		go func(op node.Op) {
-			defer s.execWG.Done()
-			s.runRestage(op.Group, op.Cost)
-		}(op)
-	}
-}
-
-// runRestage holds a claimed group through its reload, then frees it —
-// chaining into any newer rebalance that queued on the group while it
-// was restaging.
-func (s *Server) runRestage(id int, cost time.Duration) {
-	for {
-		time.Sleep(cost)
-		op, again := s.pool.release(id)
-		if !again {
+	at := s.events.Next()
+	if s.armed {
+		// A timer due first re-arms when it fires, and so does one that
+		// has already fired and waits for mu in tick.
+		if s.timerAt <= at || !s.timer.Stop() {
 			return
 		}
-		s.noteRestage(id, s.names[op.Model], s.names[op.From], op.Cost)
-		cost = op.Cost
+		s.execWG.Done()
 	}
+	s.armed, s.timerAt = true, at
+	s.execWG.Add(1)
+	s.timer = time.AfterFunc(at-s.now(), s.tick)
 }
 
-// noteRestage counts one planner restage on a group, charging its
-// reload into the group's busy time — the same accounting the
-// simulator applies, so planned utilization reads identically on both
-// drivers — and traces the staging span. model is what the restage
-// stages, from what it evicts ("" when the group held nothing or the
-// caller does not track it).
-func (s *Server) noteRestage(id int, model, from string, cost time.Duration) {
-	s.stats.Lock()
-	if id >= 0 && id < len(s.stats.perShard) {
-		s.stats.perShard[id].Restages++
-		s.stats.perShard[id].Busy += cost
+// tick is the timer's scheduling pass.
+func (s *Server) tick() {
+	defer s.execWG.Done()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.armed = false
+	s.schedule()
+}
+
+// driver is the Server as its node's node.Driver, which keeps the
+// callbacks off the Server's exported method set.
+type driver Server
+
+// Dispatched hands a batch the node formed to an executor goroutine,
+// with the requests at the head of its model's FIFO.
+func (d *driver) Dispatched(n *node.Node, b node.Batch) {
+	s := (*Server)(d)
+	q := s.fifo[b.Model]
+	reqs := slices.Clone(q[:b.Size])
+	s.fifo[b.Model] = slices.Delete(q, 0, b.Size)
+	s.execWG.Add(1)
+	go s.execute(b, n.Batches, reqs)
+}
+
+// Replanning marks a controller re-plan on the control lane, before its
+// restage spans.
+func (d *driver) Replanning(n *node.Node, at time.Duration, drift float64, restages int) {
+	d.tracer.replan(at, n.Replans+1, drift, restages)
+}
+
+// Restaged charges a planner restage's reload to its group — the
+// accounting the simulator applies, so planned utilization reads the
+// same on both drivers — and traces the staging span.
+func (d *driver) Restaged(_ *node.Node, op node.Op, at time.Duration) {
+	s := (*Server)(d)
+	u := &s.perShard[op.Group]
+	u.Restages++
+	u.Busy += op.Cost
+	from := ""
+	if op.From >= 0 {
+		from = s.names[op.From]
 	}
-	s.stats.restages++
-	s.stats.Unlock()
-	s.tracer.restage(id, model, from, time.Since(s.started), cost)
+	s.tracer.restage(op.Group, s.names[op.Model], from, at, op.Cost)
+}
+
+// execute runs one dispatched batch, the seq-th, on its claimed group.
+// It drops the requests canceled while queued and executes the rest;
+// then it counts the outcome and frees the group through the node, and
+// only then answers, so a caller holding its response sees the batch
+// in Stats and its group free.
+func (s *Server) execute(b node.Batch, seq int, reqs []*request) {
+	defer s.execWG.Done()
+	model := s.names[b.Model]
+	resps := make([]*Response, len(reqs))
+	var inputs []*neuralcache.Tensor
+	for i, r := range reqs {
+		if r.ctx != nil && r.ctx.Err() != nil {
+			now := s.now()
+			resps[i] = &Response{ID: r.id, Model: model, Err: r.ctx.Err(), Shard: NoShard, Queued: now - r.at}
+			s.tracer.cancel(model, now)
+			continue
+		}
+		inputs = append(inputs, r.input)
+	}
+	n := len(inputs)
+	var results []*neuralcache.InferenceResult
+	var err error
+	switch {
+	case n > 0:
+		// The batch runs under the server's lifetime, not any one
+		// request's ctx: a replica group shares one staged weight set, so
+		// a single submitter's cancellation must not fail its batchmates.
+		results, err = s.backend.Execute(context.Background(), model, inputs, !b.Warm, s.opts.GroupSize)
+	case !b.Warm:
+		// Every request was canceled, but the claim staged the model on
+		// the group: hold it through the reload, so a later warm claim
+		// of the model is truthful.
+		time.Sleep(b.Reload)
+	}
+	done := s.now()
+	s.mu.Lock()
+	u := &s.perShard[b.Group]
+	u.Batches++
+	u.Requests += n
+	u.Busy += done - b.At
+	if !b.Warm {
+		u.Reloads++
+	}
+	mc := &s.models[b.Model]
+	dropped := uint64(len(reqs) - n)
+	s.canceled += dropped
+	mc.Canceled += dropped
+	if err != nil {
+		s.failed += uint64(n)
+		mc.Failed += uint64(n)
+	} else {
+		s.served += uint64(n)
+		mc.Served += uint64(n)
+	}
+	_ = s.node.Finish(done, b.Group) // see schedule
+	s.schedule()
+	s.mu.Unlock()
+	if s.tracer != nil {
+		for i, r := range reqs {
+			if resps[i] == nil {
+				s.tracer.queued(model, r.at, b.At, seq)
+			}
+		}
+		// The wall clock cannot split the measured span into reload and
+		// service; charge the modeled §IV-E reload on cold dispatches,
+		// clamped to what actually elapsed.
+		span := done - b.At
+		var reload time.Duration
+		if !b.Warm {
+			reload = min(b.Reload, span)
+		}
+		s.tracer.batch(b.Group, model, n, !b.Warm, seq, b.At, span-reload, reload)
+	}
+	j := 0
+	for i, r := range reqs {
+		if resps[i] == nil {
+			resps[i] = &Response{
+				ID:        r.id,
+				Model:     model,
+				Shard:     shardFor(b.Group, s.slices, s.opts.GroupSize),
+				BatchSize: n,
+				Cold:      !b.Warm,
+				Queued:    b.At - r.at,
+				Latency:   done - r.at,
+				Err:       err,
+			}
+			if err == nil && results != nil {
+				resps[i].Result = results[j]
+			}
+			j++
+			if err == nil && s.cache != nil && r.input != nil {
+				// Miss fill: memoize the served output under its input so
+				// the next identical submission hits at admission. Failed
+				// batches fill nothing — a hit must always replay a result
+				// that was actually served.
+				s.cache.Insert(model, r.input, resps[i].Result)
+			}
+		}
+		r.resp <- resps[i]
+	}
 }
 
 // Options returns the server's effective (defaulted) options.
 func (s *Server) Options() Options { return s.opts }
 
+// Plan returns the residency plan currently applied (the last
+// controller re-plan, or Options.Plan), nil for reactive servers.
+func (s *Server) Plan() *plan.Plan {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.node.Plan()
+}
+
 // QueueDepth returns the current admitted-minus-dispatched request
 // count — the live value behind Stats' high-water mark, cheap enough
 // for debug endpoints and samplers to poll.
-func (s *Server) QueueDepth() int { return int(s.depth.Load()) }
+func (s *Server) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.node.Depth()
+}
 
 // BusyGroups returns how many replica groups are currently claimed
 // (serving a batch or restaging weights).
 func (s *Server) BusyGroups() int {
-	s.pool.mu.Lock()
-	defer s.pool.mu.Unlock()
-	return s.pool.t.Busy()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.node.BusyGroups()
 }
 
 // Controller returns the drift controller of a planned server with
 // Options.Replan enabled, nil otherwise. Its read-only methods
 // (Drift, Observed) feed debug endpoints and timeline samplers.
-func (s *Server) Controller() *plan.Controller { return s.ctrl }
+func (s *Server) Controller() *plan.Controller {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.node.Controller()
+}
 
 // Submit admits one request for the backend's default model and blocks
 // until it is served or ctx is done. When the admission queue is full,
@@ -421,9 +449,9 @@ func (s *Server) SubmitModel(ctx context.Context, model string, in *neuralcache.
 // TrySubmit admits one request for the backend's default model without
 // blocking: when the admission queue is full it returns ErrQueueFull
 // immediately (the open-loop rejection path). On success the response
-// arrives on the returned channel. ctx is checked again at dispatch
-// time: a request whose ctx expired while queued is dropped with its
-// ctx error.
+// arrives on the returned channel. ctx is checked again when the batch
+// executes: a request whose ctx expired while queued is dropped with
+// its ctx error.
 func (s *Server) TrySubmit(ctx context.Context, in *neuralcache.Tensor) (<-chan *Response, error) {
 	return s.submit(ctx, "", in, false)
 }
@@ -447,420 +475,110 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 		return nil, fmt.Errorf("serve: input %dx%dx%d, model %s expects %dx%dx%d",
 			in.H, in.W, in.C, name, h, w, c)
 	}
-	// Register as an in-flight submitter under the read lock, then drop
-	// the lock before the (possibly waiting) admission: Close must not
-	// stall behind back-pressured submitters, and the queue send must
-	// still never race close(s.queue) — Close waits for submitters to
-	// drain after waking them via s.closing.
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
-	s.submitters.Add(1)
-	s.mu.RUnlock()
-	defer s.submitters.Done()
+	mi := s.index[name]
 	// Probe the front-cache before admission: a hit completes here — it
 	// cannot be rejected by a full queue, never rides a batch and never
 	// claims a replica group. Backends without input tensors have
 	// nothing to key on and skip the cache entirely.
-	if s.cache != nil && in != nil {
-		enqueued := time.Now()
-		if result, ok := s.cache.Lookup(name, in); ok {
-			resp := &Response{
-				ID:       s.nextID.Add(1),
-				Model:    name,
-				Result:   result,
-				Shard:    NoShard,
-				CacheHit: true,
-				Latency:  time.Since(enqueued),
-			}
-			s.stats.Lock()
-			s.stats.submitted++
-			s.stats.served++
-			mc := s.stats.model(name)
-			mc.Served++
-			mc.CacheHits++
-			s.stats.Unlock()
-			s.tracer.cacheHit(name, time.Since(s.started))
-			if s.ctrl != nil {
-				s.ctrl.ObserveCacheHit(name, time.Since(s.started))
-			}
-			ch := make(chan *Response, 1)
-			ch <- resp
-			return ch, nil
+	probed := s.cache != nil && in != nil
+	if probed {
+		if ch, err := s.probe(mi, in); ch != nil || err != nil {
+			return ch, err
 		}
-		s.stats.Lock()
-		s.stats.model(name).CacheMisses++
-		s.stats.Unlock()
 	}
-	if err := s.admit(ctx, wait, name); err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if probed {
+		s.models[mi].CacheMisses++
 	}
-	req := &request{
-		id:       s.nextID.Add(1),
-		model:    s.index[name],
-		input:    in,
-		ctx:      ctx,
-		enqueued: time.Now(),
-		resp:     make(chan *Response, 1),
+	// Admission is bounded by the node's depth of admitted, undispatched
+	// requests — Simulate's rule. Without wait a full queue rejects;
+	// with wait the caller blocks until a dispatch frees a slot, ctx is
+	// done, or the server closes.
+	var stop func() bool
+	for {
+		if s.closed {
+			return nil, ErrClosed
+		}
+		if s.node.Depth() < s.opts.QueueDepth {
+			break
+		}
+		if !wait {
+			s.rejected++
+			s.models[mi].Rejected++
+			s.tracer.reject(name, s.now())
+			return nil, ErrQueueFull
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if stop == nil {
+			stop = context.AfterFunc(ctx, func() {
+				s.mu.Lock()
+				s.cond.Broadcast()
+				s.mu.Unlock()
+			})
+			defer stop()
+		}
+		s.cond.Wait()
 	}
-	// The send cannot block: channel occupancy never exceeds the depth
-	// counter, which admit just bounded by QueueDepth, the channel's
-	// capacity.
-	s.queue <- req
-	s.stats.Lock()
-	s.stats.submitted++
-	s.stats.Unlock()
+	req := &request{id: s.nextID.Add(1), input: in, ctx: ctx, at: s.now(), resp: make(chan *Response, 1)}
+	s.node.Enqueue(mi, req.at, -1, 0)
+	s.fifo[mi] = append(s.fifo[mi], req)
+	s.submitted++
+	s.depthSum += int64(s.node.Depth())
+	s.depthSamples++
+	s.schedule()
 	return req.resp, nil
 }
 
-// admit reserves one slot of the bounded admission depth — the same
-// depth >= QueueDepth rule the simulator applies — incrementing the
-// counter before the queue send so concurrent submitters can never
-// under-report the high-water mark. Without wait a full queue rejects
-// with ErrQueueFull; with wait the caller blocks until a dispatch frees
-// a slot, ctx is done, or the server closes.
-func (s *Server) admit(ctx context.Context, wait bool, model string) error {
-	for {
-		d := s.depth.Load()
-		if d < int64(s.opts.QueueDepth) {
-			if !s.depth.CompareAndSwap(d, d+1) {
-				continue
-			}
-			d++
-			for {
-				hw := s.highWater.Load()
-				if d <= hw || s.highWater.CompareAndSwap(hw, d) {
-					break
-				}
-			}
-			s.depthSum.Add(d)
-			s.depthSamples.Add(1)
-			if d < int64(s.opts.QueueDepth) {
-				// Cascade the wakeup: one freed-slot token wakes one
-				// waiter, so pass it on while slots remain.
-				select {
-				case s.space <- struct{}{}:
-				default:
-				}
-			}
-			return nil
-		}
-		if !wait {
-			s.stats.Lock()
-			s.stats.rejected++
-			s.stats.model(model).Rejected++
-			s.stats.Unlock()
-			s.tracer.reject(model, time.Since(s.started))
-			return ErrQueueFull
-		}
-		select {
-		case <-s.space:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.closing:
-			return ErrClosed
-		}
+// probe looks the input up in the front-cache, returning the answered
+// response on a hit and nil on a miss, or ErrClosed.
+func (s *Server) probe(mi int, in *neuralcache.Tensor) (chan *Response, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
 	}
+	name := s.names[mi]
+	start := time.Now()
+	result, ok := s.cache.Lookup(name, in)
+	if !ok {
+		return nil, nil
+	}
+	resp := &Response{
+		ID:       s.nextID.Add(1),
+		Model:    name,
+		Result:   result,
+		Shard:    NoShard,
+		CacheHit: true,
+		Latency:  time.Since(start),
+	}
+	s.mu.Lock()
+	s.submitted++
+	s.served++
+	s.models[mi].Served++
+	s.models[mi].CacheHits++
+	ctrl := s.node.Controller()
+	s.mu.Unlock()
+	at := s.now()
+	s.tracer.cacheHit(name, at)
+	if ctrl != nil {
+		ctrl.ObserveCacheHit(name, at)
+	}
+	ch := make(chan *Response, 1)
+	ch <- resp
+	return ch, nil
 }
 
-// batcher is the single goroutine forming per-model micro-batches: it
-// collects admitted requests into one FIFO per model and dispatches a
-// model's batch when it is full (MaxBatch) or its oldest request has
-// lingered MaxLinger. When several models are ready, the one with the
-// oldest head dispatches first.
-func (s *Server) batcher() {
-	defer close(s.batcherDone)
-	planned := s.opts.Plan != nil
-	var eligible func(int) bool
-	if planned {
-		eligible = s.pool.hasEligible
-	}
-	pending := make(map[int][]*request)
-	total := 0
-	add := func(r *request) {
-		pending[r.model] = append(pending[r.model], r)
-		total++
-	}
-	// drain moves every immediately available request into pending
-	// before any dispatch decision, so a backlog forms full batches
-	// instead of lingered singletons; it reports false once the queue is
-	// closed and empty.
-	drain := func() bool {
-		for {
-			select {
-			case r, ok := <-s.queue:
-				if !ok {
-					return false
-				}
-				add(r)
-			default:
-				return true
-			}
-		}
-	}
-	for {
-		if total == 0 {
-			r, ok := <-s.queue
-			if !ok {
-				return
-			}
-			add(r)
-		} else {
-			// Wait for the next admission or the earliest future
-			// linger deadline. A past-due head here means a ready model
-			// waiting for an eligible group (only possible planned), so
-			// it is excluded from the timer — a freed group wakes the
-			// batcher for it — while other models' future deadlines
-			// still get their timer.
-			var deadline time.Time
-			now := time.Now()
-			for _, q := range pending {
-				d := q[0].enqueued.Add(s.opts.MaxLinger)
-				if planned && !d.After(now) {
-					continue
-				}
-				if deadline.IsZero() || d.Before(deadline) {
-					deadline = d
-				}
-			}
-			var timer *time.Timer
-			var timerC <-chan time.Time
-			var freedC <-chan struct{}
-			if !deadline.IsZero() {
-				timer = time.NewTimer(time.Until(deadline))
-				timerC = timer.C
-			}
-			if planned {
-				freedC = s.pool.freed
-			}
-			select {
-			case r, ok := <-s.queue:
-				if timer != nil {
-					timer.Stop()
-				}
-				if !ok {
-					s.flush(pending)
-					return
-				}
-				add(r)
-			case <-timerC:
-			case <-freedC:
-			}
-		}
-		for {
-			if !drain() {
-				s.flush(pending)
-				return
-			}
-			mi, ok := nextReady(pending, time.Now(), s.opts, eligible)
-			if !ok {
-				break
-			}
-			// dispatchFrom can block a while claiming a replica, so
-			// re-drain (and re-take the clock) every iteration.
-			total -= s.dispatchFrom(pending, mi)
-		}
-	}
-}
-
-// nextReady picks the dispatchable model with the oldest head request: a
-// model is ready when it holds a full batch or its head has lingered
-// MaxLinger. Ties break on admission ordinal. A non-nil eligible filter
-// (planned servers) additionally requires a free group the model may
-// claim, so a busy pinned pool cannot head-of-line-block the others.
-func nextReady(pending map[int][]*request, now time.Time, opts Options, eligible func(int) bool) (int, bool) {
-	best, bestID := -1, uint64(0)
-	for mi, q := range pending {
-		head := q[0]
-		if len(q) < opts.MaxBatch && now.Before(head.enqueued.Add(opts.MaxLinger)) {
-			continue
-		}
-		if eligible != nil && !eligible(mi) {
-			continue
-		}
-		if best < 0 || head.id < bestID {
-			best, bestID = mi, head.id
-		}
-	}
-	return best, best >= 0
-}
-
-// dispatchFrom pops one batch of model mi from pending and dispatches
-// it, returning how many requests it consumed. The queue-depth counter
-// drops here — not at the channel receive — so requests parked in
-// pending still count as queued, matching the simulator's accounting.
-func (s *Server) dispatchFrom(pending map[int][]*request, mi int) int {
-	q := pending[mi]
-	n := min(len(q), s.opts.MaxBatch)
-	batch := append([]*request(nil), q[:n]...)
-	if n == len(q) {
-		delete(pending, mi)
-	} else {
-		pending[mi] = q[n:]
-	}
-	s.depth.Add(-int64(n))
-	select {
-	case s.space <- struct{}{}: // wake one Submit blocked in admit
-	default:
-	}
-	s.dispatch(mi, batch)
-	return n
-}
-
-// flush dispatches everything still pending when the queue closes, in
-// oldest-head-first order, so Close drains instead of dropping: under a
-// zero batch cap every pending model is ready.
-func (s *Server) flush(pending map[int][]*request) {
-	for len(pending) > 0 {
-		mi, _ := nextReady(pending, time.Time{}, Options{}, nil)
-		s.dispatchFrom(pending, mi)
-	}
-}
-
-// dispatch drops canceled requests, claims the best free replica group
-// for the model (blocking the batcher while all groups are busy — the
-// queue buffer keeps admitting meanwhile) and executes the batch on its
-// own goroutine, charging the backend's reload cost when the group was
-// not already staging this model.
-func (s *Server) dispatch(mi int, batch []*request) {
-	model := s.names[mi]
-	live := batch[:0]
-	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			r.resp <- &Response{
-				ID:     r.id,
-				Model:  model,
-				Err:    r.ctx.Err(),
-				Shard:  NoShard,
-				Queued: time.Since(r.enqueued),
-			}
-			s.stats.Lock()
-			s.stats.canceled++
-			s.stats.model(model).Canceled++
-			s.stats.Unlock()
-			s.tracer.cancel(model, time.Since(s.started))
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-	if s.ctrl != nil {
-		// Feed the drift controller the served mix and apply any
-		// re-plan before claiming a group, so the new pinned set
-		// steers this very dispatch.
-		now := time.Since(s.started)
-		s.ctrl.Observe(model, len(live), now)
-		// Drift must be read before MaybeReplan: an applied re-plan
-		// rebases the controller's reference mix, zeroing it.
-		var drift float64
-		if s.tracer != nil {
-			drift = s.ctrl.Drift()
-		}
-		if next, ops, ok := s.ctrl.MaybeReplan(now); ok {
-			s.applyReplan(next, ops, now, drift)
-		}
-	}
-	id, warm := s.pool.acquire(mi)
-	dispatched := time.Now()
-	s.execWG.Add(1)
-	go func() {
-		defer s.execWG.Done()
-		inputs := make([]*neuralcache.Tensor, len(live))
-		for i, r := range live {
-			inputs[i] = r.input
-		}
-		// The batch runs under the server's lifetime, not any one
-		// request's ctx: a replica group shares one staged weight set, so
-		// a single submitter's cancellation must not fail its batchmates.
-		results, err := s.backend.Execute(context.Background(), model, inputs, !warm, s.groupSize)
-		done := time.Now()
-		// Update counters before delivering responses: a caller that has
-		// drained its response channels must see this batch in Stats().
-		s.stats.Lock()
-		s.stats.batches++
-		seq := int(s.stats.batches)
-		s.stats.batched += uint64(len(live))
-		mc := s.stats.model(model)
-		mc.Batches++
-		if warm {
-			s.stats.warmBatches++
-			mc.WarmBatches++
-		} else {
-			s.stats.coldBatches++
-			mc.ColdBatches++
-		}
-		if err != nil {
-			s.stats.failed += uint64(len(live))
-			mc.Failed += uint64(len(live))
-		} else {
-			s.stats.served += uint64(len(live))
-			mc.Served += uint64(len(live))
-		}
-		u := &s.stats.perShard[id]
-		u.Batches++
-		u.Requests += len(live)
-		u.Busy += done.Sub(dispatched)
-		if !warm {
-			u.Reloads++
-		}
-		s.stats.Unlock()
-		if s.tracer != nil {
-			start := dispatched.Sub(s.started)
-			for _, r := range live {
-				s.tracer.queued(model, r.enqueued.Sub(s.started), start, seq)
-			}
-			// The wall clock cannot split the measured span into reload
-			// and service; charge the modeled §IV-E reload on cold
-			// dispatches, clamped to what actually elapsed.
-			span := done.Sub(dispatched)
-			var reload time.Duration
-			if !warm {
-				if rel, err := s.backend.ReloadTime(model, s.groupSize); err == nil {
-					reload = min(rel, span)
-				}
-			}
-			s.tracer.batch(id, model, len(live), !warm, seq, start, span-reload, reload)
-		}
-		for i, r := range live {
-			resp := &Response{
-				ID:        r.id,
-				Model:     model,
-				Shard:     shardFor(id, s.slices, s.groupSize),
-				BatchSize: len(live),
-				Cold:      !warm,
-				Queued:    dispatched.Sub(r.enqueued),
-				Latency:   done.Sub(r.enqueued),
-				Err:       err,
-			}
-			if err == nil && results != nil {
-				resp.Result = results[i]
-			}
-			if err == nil && s.cache != nil && r.input != nil {
-				// Miss fill: memoize the served output under its input so
-				// the next identical submission hits at admission. Failed
-				// batches fill nothing — a hit must always replay a result
-				// that was actually served.
-				s.cache.Insert(model, r.input, resp.Result)
-			}
-			r.resp <- resp
-		}
-		if op, restage := s.pool.release(id); restage {
-			// A controller rebalance was waiting for this group: hold
-			// it through the new model's §IV-E reload before freeing,
-			// evicting this batch's model.
-			s.noteRestage(id, s.names[op.Model], model, op.Cost)
-			s.runRestage(id, op.Cost)
-		}
-	}()
-}
-
-// Close stops admission, wakes Submits blocked on a full queue (they
-// return ErrClosed), drains the queue, waits for in-flight batches and
-// returns. Closing twice returns ErrClosed.
+// Close stops admission and wakes Submits blocked on a full queue (they
+// return ErrClosed). It then waits until every admitted request has
+// been dispatched and every replica group is free — lingering requests
+// dispatch at their linger deadline, so Close can wait up to MaxLinger
+// past the last completion — and returns once every executor has
+// answered. No goroutine of the server outlives it. Closing twice
+// returns ErrClosed.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -868,14 +586,15 @@ func (s *Server) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	close(s.closing)
+	s.cond.Broadcast()
+	for s.node.Depth() > 0 || s.node.BusyGroups() > 0 {
+		s.cond.Wait()
+	}
+	if s.armed && s.timer.Stop() {
+		s.armed = false
+		s.execWG.Done()
+	}
 	s.mu.Unlock()
-	// Wait out submitters that passed the closed check before closing
-	// the queue channel: they either complete their send or bail on
-	// s.closing, so close(s.queue) can never race a send.
-	s.submitters.Wait()
-	close(s.queue)
-	<-s.batcherDone
 	s.execWG.Wait()
 	return nil
 }
@@ -885,6 +604,8 @@ func (s *Server) Close() error {
 type ModelCounters struct {
 	Served, Failed, Canceled uint64
 	Rejected                 uint64
+	// Batches, WarmBatches and ColdBatches count the model's dispatches,
+	// batches still executing included.
 	Batches                  uint64
 	WarmBatches, ColdBatches uint64
 	// CacheHits were served from the front-cache at admission (also
@@ -898,8 +619,13 @@ type Stats struct {
 	Submitted, Rejected uint64
 	Served, Failed      uint64
 	Canceled            uint64
-	Batches             uint64
-	MeanBatch           float64
+	// Batches counts dispatches, as the node core does: batches still
+	// executing are included, and so is a batch whose requests were all
+	// canceled while queued (a dispatch of zero requests, which still
+	// holds its group through a cold claim's reload). MeanBatch is the
+	// dispatched requests per batch, canceled ones included.
+	Batches   uint64
+	MeanBatch float64
 	// WarmBatches and ColdBatches split dispatches by whether the
 	// replica already staged the batch's model; cold ones paid the
 	// §IV-E weight reload.
@@ -916,11 +642,11 @@ type Stats struct {
 	CacheHits, CacheMisses uint64
 	CacheInserts           uint64
 	CacheEvictions         uint64
-	// QueueHighWater is the maximum admitted-minus-dispatched depth
-	// (queued in the channel plus parked in the batcher), tracked
-	// atomically at every admission; it never exceeds QueueDepth, and
-	// MeanQueueDepth is the mean of the depth sampled at each admission,
-	// so QueueHighWater ≥ ⌈MeanQueueDepth⌉ always.
+	// QueueHighWater is the maximum admitted-minus-dispatched depth,
+	// counted at every admission exactly as Simulate counts it; it never
+	// exceeds QueueDepth, and MeanQueueDepth is the mean of the depth
+	// sampled at each admission, so QueueHighWater ≥ ⌈MeanQueueDepth⌉
+	// always.
 	QueueHighWater int
 	MeanQueueDepth float64
 	// DepthSum and DepthSamples are the raw accumulators behind
@@ -942,32 +668,38 @@ type Stats struct {
 
 // Stats snapshots the server's occupancy and admission counters.
 func (s *Server) Stats() Stats {
-	up := time.Since(s.started)
-	s.stats.Lock()
-	defer s.stats.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	up := s.now()
+	n := s.node
 	out := Stats{
-		Submitted:      s.stats.submitted,
-		Rejected:       s.stats.rejected,
-		Served:         s.stats.served,
-		Failed:         s.stats.failed,
-		Canceled:       s.stats.canceled,
-		Batches:        s.stats.batches,
-		WarmBatches:    s.stats.warmBatches,
-		ColdBatches:    s.stats.coldBatches,
-		Restages:       s.stats.restages,
-		Replans:        s.stats.replans,
-		QueueHighWater: int(s.highWater.Load()),
+		Submitted:      s.submitted,
+		Rejected:       s.rejected,
+		Served:         s.served,
+		Failed:         s.failed,
+		Canceled:       s.canceled,
+		Batches:        uint64(n.Batches),
+		WarmBatches:    uint64(n.Warm),
+		ColdBatches:    uint64(n.Cold),
+		Restages:       uint64(n.Restages),
+		Replans:        uint64(n.Replans),
+		QueueHighWater: n.MaxDepth(),
+		DepthSum:       s.depthSum,
+		DepthSamples:   s.depthSamples,
 		Uptime:         up,
-		PerShard:       append([]ShardUsage(nil), s.stats.perShard...),
-		PerModel:       make(map[string]ModelCounters, len(s.stats.perModel)),
+		PerShard:       append([]ShardUsage(nil), s.perShard...),
+		PerModel:       make(map[string]ModelCounters, len(s.models)),
 	}
-	out.DepthSum = s.depthSum.Load()
-	out.DepthSamples = s.depthSamples.Load()
 	if out.DepthSamples > 0 {
 		out.MeanQueueDepth = float64(out.DepthSum) / float64(out.DepthSamples)
 	}
-	for name, c := range s.stats.perModel {
-		out.PerModel[name] = *c
+	for mi, c := range s.models {
+		t := n.Models[mi]
+		c.WarmBatches, c.ColdBatches = uint64(t.Warm), uint64(t.Cold)
+		c.Batches = c.WarmBatches + c.ColdBatches
+		if c != (ModelCounters{}) {
+			out.PerModel[s.names[mi]] = c
+		}
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -976,8 +708,8 @@ func (s *Server) Stats() Stats {
 		out.CacheInserts = uint64(cs.Inserts)
 		out.CacheEvictions = uint64(cs.Evictions)
 	}
-	if out.Batches > 0 {
-		out.MeanBatch = float64(s.stats.batched) / float64(out.Batches)
+	if n.Batches > 0 {
+		out.MeanBatch = float64(n.Batched) / float64(n.Batches)
 	}
 	var busy time.Duration
 	for i := range out.PerShard {

@@ -174,8 +174,7 @@ func (t *Tracer) batch(group int, model string, n int, cold bool, seq int, start
 }
 
 // restage records a planner-driven weight staging on the group's lane.
-// from is the model the staging evicted ("" when the group held none,
-// or when the wall-clock driver does not track it).
+// from is the model the staging evicted ("" when the group held none).
 func (t *Tracer) restage(group int, model, from string, start, dur time.Duration) {
 	if t == nil {
 		return

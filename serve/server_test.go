@@ -175,7 +175,8 @@ func settleGoroutines(t *testing.T, base int) {
 // TestServerCloseLeavesNoGoroutines: after Close and every response,
 // no goroutine the server started is left — not under overload with
 // rejections, with requests canceled while queued, with a Submit
-// blocked on a full queue, or with re-plan restages in flight.
+// blocked on a full queue (woken by Close, or by its own deadline), or
+// with re-plan restages in flight.
 func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 	drain := func(t *testing.T, chans []<-chan *Response) {
 		t.Helper()
@@ -269,6 +270,47 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 		// request is served instead.
 		if err := within(t, submitErr, "Submit return"); err != nil && err != ErrClosed {
 			t.Fatalf("blocked Submit returned %v, want ErrClosed", err)
+		}
+		drain(t, chans)
+		settleGoroutines(t, base)
+	})
+	t.Run("deadline while blocked", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		backend := newGateBackend(t)
+		srv, err := NewServer(backend, Options{MaxBatch: 1, MaxLinger: NoLinger, QueueDepth: 1, Replicas: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := srv.TrySubmit(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-backend.started
+		chans := []<-chan *Response{first}
+		for {
+			ch, err := srv.TrySubmit(context.Background(), nil)
+			if err == ErrQueueFull {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			chans = append(chans, ch)
+		}
+		// Nothing can dispatch while the gate is held, so only the
+		// deadline can end this Submit's wait.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		submitErr := make(chan error, 1)
+		go func() {
+			_, err := srv.Submit(ctx, nil)
+			submitErr <- err
+		}()
+		if err := within(t, submitErr, "Submit return"); err != context.DeadlineExceeded {
+			t.Fatalf("blocked Submit returned %v, want its deadline", err)
+		}
+		close(backend.gate)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
 		}
 		drain(t, chans)
 		settleGoroutines(t, base)

@@ -220,10 +220,6 @@ type Options struct {
 	// Events is the lifecycle scenario (kills, drains, joins), fired in
 	// time order; same-instant events fire in list order.
 	Events []NodeEvent
-	// ObserverHalfLife is the decay half-life of the cluster-level
-	// offered-mix EWMA that joining planned nodes warm up against.
-	// Default 500ms, matching plan.ControllerConfig.
-	ObserverHalfLife time.Duration
 	// Trace, when non-nil, records the run as Chrome trace events with
 	// one process lane per node (pid i+1; pid 0 is the cluster front
 	// door) — batch and restage spans per replica group, lifecycle and
@@ -260,12 +256,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Router == nil {
 		o.Router = LeastLoaded{}
 	}
-	if o.ObserverHalfLife == 0 {
-		o.ObserverHalfLife = 500 * time.Millisecond
-	}
-	if o.ObserverHalfLife < 0 {
-		return o, fmt.Errorf("cluster: observer half-life %v", o.ObserverHalfLife)
-	}
 	if o.TimelineInterval < 0 {
 		return o, fmt.Errorf("cluster: timeline interval %v", o.TimelineInterval)
 	}
@@ -284,6 +274,11 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	return o, nil
 }
+
+// observerHalfLife is the decay half-life of the cluster-level
+// offered-mix EWMA that joining planned nodes warm up against: the
+// default half-life of plan.ControllerConfig.
+const observerHalfLife = 500 * time.Millisecond
 
 // mixObserver is the cluster-level offered-mix EWMA: every routed
 // arrival feeds it, so it tracks what the fleet is being asked to

@@ -153,7 +153,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		}, &s.events, s)
 		s.nodes = append(s.nodes, n)
 	}
-	s.observer = newMixObserver(o.ObserverHalfLife, len(models))
+	s.observer = newMixObserver(observerHalfLife, len(models))
 	s.tracer = newTracer(o.Trace)
 	s.tracer.begin(o.Nodes)
 	if o.TimelineInterval > 0 {

@@ -490,7 +490,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Nodes: []NodeSpec{{QueueDepth: 4, MaxBatch: 8}}},                           // queue below batch
 		{Nodes: []NodeSpec{{}}, Events: []NodeEvent{{Node: 1, Kind: KillNode}}},     // node out of range
 		{Nodes: []NodeSpec{{}}, Events: []NodeEvent{{Node: 0, Kind: EventKind(9)}}}, // unknown kind
-		{Nodes: []NodeSpec{{}}, ObserverHalfLife: -time.Second},
 		{Nodes: []NodeSpec{{}}, TimelineInterval: -time.Second},
 	}
 	for i, opts := range cases {

@@ -48,9 +48,7 @@
 // touching a replica group. -reuse U -zipf s makes the generated load
 // reusable — each arrival draws its input identity from a Zipf(s)
 // distribution over U distinct inputs — so the cache has something to
-// hit. -cache-policy lsh adds SimHash similarity buckets
-// (-cache-tables × -cache-bits random hyperplanes) in front of the
-// exact-match check; an exact byte comparison still guards every hit,
+// hit. A byte comparison against the stored input guards every hit,
 // so a cached response is never wrong. -sweep-cache 0,256,1024 runs
 // the same reusable load at several capacities and prints the
 // break-even frontier — which hit rate turns the cache into free
@@ -100,7 +98,7 @@
 //	ncserve -backend bitexact -model small -requests 32 -debug-addr localhost:6060
 //	ncserve -model inception -rate 4000 -reuse 4096 -zipf 1.1 -cache 1024
 //	ncserve -model inception -rate 4000 -reuse 4096 -zipf 1.1 -sweep-cache 0,256,1024,4096
-//	ncserve -backend bitexact -model small -requests 64 -reuse 16 -zipf 1.2 -cache 8 -cache-policy lsh
+//	ncserve -backend bitexact -model small -requests 64 -reuse 16 -zipf 1.2 -cache 8
 //	ncserve -cluster 4 -models inception,resnet -mix 0.7,0.3 -router affinity -requests 50000
 //	ncserve -cluster 2x14,2x14,1x14/7 -rate 2000 -kill-node 400ms:2 -join 1s:2 -json
 //	ncserve -cluster 3 -models inception,resnet -plan -replan-threshold 0.2 \
@@ -160,9 +158,6 @@ func main() {
 		timeline    = flag.Duration("timeline", 0, "sample the run's time series every interval into the report's timeline (0 = off)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof and expvar debug vars on host:port during the run (bitexact only)")
 		cacheCap    = flag.Int("cache", 0, "memoizing front-cache capacity in entries (0 = no cache)")
-		cachePolicy = flag.String("cache-policy", "exact", "front-cache match policy: exact or lsh (SimHash similarity buckets)")
-		cacheTables = flag.Int("cache-tables", 0, "LSH hash tables (0 = default 4; needs -cache-policy lsh)")
-		cacheBits   = flag.Int("cache-bits", 0, "LSH hyperplanes (signature bits) per table (0 = default 16)")
 		sweepCache  = flag.String("sweep-cache", "", "comma-separated front-cache capacities to sweep (analytic only; overrides -cache)")
 		reuse       = flag.Int("reuse", 0, "reusable-input universe size: arrivals draw from this many distinct inputs (0 = every arrival unique)")
 		zipf        = flag.Float64("zipf", 1.1, "Zipf skew of the reuse distribution (must exceed 1; needs -reuse)")
@@ -254,13 +249,6 @@ func main() {
 	if *cacheCap < 0 {
 		log.Fatalf("-cache %d: capacity must be non-negative", *cacheCap)
 	}
-	policy, err := serve.ParseCachePolicy(*cachePolicy)
-	if err != nil {
-		log.Fatalf("-cache-policy: %v", err)
-	}
-	if *cacheTables < 0 || *cacheBits < 0 {
-		log.Fatalf("-cache-tables %d / -cache-bits %d: must be non-negative", *cacheTables, *cacheBits)
-	}
 	if *reuse < 0 {
 		log.Fatalf("-reuse %d: universe must be non-negative", *reuse)
 	}
@@ -274,12 +262,7 @@ func main() {
 		MaxLinger:  *linger,
 		GroupSize:  *group,
 		Replicas:   *replicas,
-		Cache: serve.CacheOptions{
-			Capacity: *cacheCap,
-			Policy:   policy,
-			Tables:   *cacheTables,
-			Bits:     *cacheBits,
-		},
+		Cache:      serve.CacheOptions{Capacity: *cacheCap},
 	}
 	if *linger == 0 {
 		opts.MaxLinger = serve.NoLinger

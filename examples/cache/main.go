@@ -13,10 +13,10 @@
 // full offered rate: throughput above the capacity bound, p99 collapsed,
 // rejections gone. Part 2 sweeps the cache capacity from 0 to the full
 // reuse universe and prints the break-even frontier. Part 3 runs the
-// bit-exact server with an LSH (SimHash) cache and shows every hit is
-// byte-identical to calling System.Run directly — the exact-match guard
-// in front of the similarity buckets means a cached response is never
-// wrong.
+// bit-exact server with the cache on and shows every hit is
+// byte-identical to calling System.Run directly — a byte compare
+// against the stored input guards every hit, so a cached response is
+// never wrong.
 //
 //	go run ./examples/cache
 package main
@@ -79,12 +79,12 @@ func main() {
 	}
 	fmt.Println(serve.SweepCacheTable(points))
 
-	// --- Part 3: LSH cache on the bit-exact server, hits never wrong --
+	// --- Part 3: the cache on the bit-exact server, hits never wrong --
 	small := neuralcache.SmallCNN()
 	small.InitWeights(7)
 	srv, err := serve.NewServer(serve.NewBitExactBackend(sys, small), serve.Options{
 		MaxBatch: 4, MaxLinger: time.Millisecond,
-		Cache: serve.CacheOptions{Capacity: 16, Policy: serve.CacheLSH, Tables: 4, Bits: 16},
+		Cache: serve.CacheOptions{Capacity: 16},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -121,7 +121,7 @@ func main() {
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("bit-exact LSH cache: %d/%d requests served from the cache (%d inserts), every response byte-identical to direct Run\n",
+	fmt.Printf("bit-exact cache: %d/%d requests served from the cache (%d inserts), every response byte-identical to direct Run\n",
 		hits, st.Submitted, st.CacheInserts)
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)

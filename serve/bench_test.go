@@ -72,40 +72,32 @@ func BenchmarkServeBitExact(b *testing.B) {
 
 // BenchmarkServeCacheLookup prices the front-cache probe on the hit
 // path — the admission-time cost every request pays when a cache is
-// configured — for both policies at a steady 1024 entries.
+// configured — at a steady 1024 entries.
 func BenchmarkServeCacheLookup(b *testing.B) {
-	for _, policy := range []CachePolicy{CacheExact, CacheLSH} {
-		b.Run(policy.String(), func(b *testing.B) {
-			c, err := NewCache(CacheOptions{Capacity: 1024, Policy: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k := uint64(0); k < 1024; k++ {
-				c.InsertKey("m", k)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !c.LookupKey("m", uint64(i)%1024) {
-					b.Fatal("warm key missed")
-				}
-			}
-		})
+	c, err := NewCache(CacheOptions{Capacity: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint64(0); k < 1024; k++ {
+		c.InsertKey("m", k)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.LookupKey("m", uint64(i)%1024) {
+			b.Fatal("warm key missed")
+		}
 	}
 }
 
 // BenchmarkServeCacheInsert prices the miss-completion fill at steady
 // eviction pressure: every insert past capacity also evicts.
 func BenchmarkServeCacheInsert(b *testing.B) {
-	for _, policy := range []CachePolicy{CacheExact, CacheLSH} {
-		b.Run(policy.String(), func(b *testing.B) {
-			c, err := NewCache(CacheOptions{Capacity: 1024, Policy: policy})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.InsertKey("m", uint64(i))
-			}
-		})
+	c, err := NewCache(CacheOptions{Capacity: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.InsertKey("m", uint64(i))
 	}
 }

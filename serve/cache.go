@@ -3,54 +3,14 @@ package serve
 import (
 	"bytes"
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"neuralcache"
-	"neuralcache/internal/simhash"
 )
-
-// CachePolicy selects how the memoizing front-cache indexes its
-// entries.
-type CachePolicy int
-
-const (
-	// CacheExact indexes entries by their input digest alone: a lookup
-	// hits only when the probe's digest — and, for byte-identified
-	// entries, the stored input bytes — match exactly.
-	CacheExact CachePolicy = iota
-	// CacheLSH additionally buckets every entry under Tables random-
-	// hyperplane signatures of Bits bits each (the num_tables ×
-	// hash_bits table design of SNIPPETS §1's LSHReflex/NeuralCache
-	// exemplar) and probes the buckets on lookup. A bucket candidate is
-	// served only after the exact-key guard — digest and stored input
-	// bytes — passes, so a false bucket hit can never serve a wrong
-	// output; guarded-off candidates are counted as NearHits.
-	CacheLSH
-)
-
-// String renders the policy as its CLI spelling.
-func (p CachePolicy) String() string {
-	switch p {
-	case CacheExact:
-		return "exact"
-	case CacheLSH:
-		return "lsh"
-	}
-	return fmt.Sprintf("CachePolicy(%d)", int(p))
-}
-
-// ParseCachePolicy parses a CLI policy name ("exact" or "lsh").
-func ParseCachePolicy(s string) (CachePolicy, error) {
-	switch s {
-	case "exact":
-		return CacheExact, nil
-	case "lsh":
-		return CacheLSH, nil
-	}
-	return 0, fmt.Errorf("serve: unknown cache policy %q (want exact or lsh)", s)
-}
 
 // cacheHitLatency is the modeled cost of serving a front-cache hit: a
 // hash probe, three orders of magnitude under a batch's service time.
@@ -59,62 +19,17 @@ func ParseCachePolicy(s string) (CachePolicy, error) {
 // instant.
 const cacheHitLatency = time.Microsecond
 
-// lshMaxDim caps the hyperplane dimension: inputs longer than this are
-// deterministically stride-subsampled before signing, keeping a
-// signature a few thousand integer ops rather than a per-byte pass over
-// an Inception-sized tensor.
-const lshMaxDim = 256
-
 // CacheOptions configures the memoizing front-cache (Options.Cache).
-// The zero value disables it; any positive Capacity enables it with the
-// remaining fields defaulted.
+// The zero value disables it; any positive Capacity enables it.
 type CacheOptions struct {
 	// Capacity bounds the entry count per cache (all models share the
 	// budget); the least-recently-used entry is evicted beyond it. 0
 	// disables the cache entirely.
 	Capacity int
-	// Policy selects exact-match keying (default) or LSH similarity
-	// buckets in front of it.
-	Policy CachePolicy
-	// Tables and Bits shape the LSH signature bank: Tables independent
-	// tables of Bits-bit signatures (default 4 × 16). Ignored under
-	// CacheExact.
-	Tables int
-	Bits   int
-	// Seed seeds the hyperplane draw so LSH bucketing is reproducible.
-	// 0 means a fixed default; runs only need to vary it to decorrelate
-	// bucket collisions across experiments.
-	Seed int64
 }
 
 // Enabled reports whether the configuration turns the front-cache on.
 func (o CacheOptions) Enabled() bool { return o.Capacity > 0 }
-
-// withDefaults fills zero fields and validates the geometry.
-func (o CacheOptions) withDefaults() (CacheOptions, error) {
-	if o.Capacity <= 0 {
-		return o, fmt.Errorf("serve: cache capacity %d", o.Capacity)
-	}
-	if o.Policy != CacheExact && o.Policy != CacheLSH {
-		return o, fmt.Errorf("serve: unknown cache policy %d", int(o.Policy))
-	}
-	if o.Tables == 0 {
-		o.Tables = 4
-	}
-	if o.Bits == 0 {
-		o.Bits = 16
-	}
-	if o.Tables < 1 || o.Tables > 64 {
-		return o, fmt.Errorf("serve: %d LSH tables (want 1-64)", o.Tables)
-	}
-	if o.Bits < 1 || o.Bits > 64 {
-		return o, fmt.Errorf("serve: %d LSH signature bits (want 1-64)", o.Bits)
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x73696d68 // "simh"
-	}
-	return o, nil
-}
 
 // CacheStats is one counter snapshot of a Cache (whole-cache from
 // Stats, per-model from ModelStats).
@@ -126,25 +41,52 @@ type CacheStats struct {
 	// existing entry does not count); Evictions counts LRU victims, so
 	// at steady state Evictions == Inserts − live entries.
 	Inserts, Evictions int
-	// NearHits counts LSH lookups that found a bucket candidate but
-	// were refused by the exact-key guard — similarity collisions that
-	// would have served a wrong output without it. Always 0 under
-	// CacheExact.
+	// NearHits counts misses whose digest matched a cached entry of the
+	// same model but whose input bytes did not: FNV digest collisions
+	// the exact-key guard refused, each of which would have served
+	// another input's output without it.
 	NearHits int
 }
 
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// digest is the FNV-1a 64-bit digest of a quantized input tensor: the
+// byte payload prefixed by its shape and scale, so two inputs share a
+// digest only when their geometry, quantization and bytes all agree.
+func digest(h, w, c int, scale float64, data []byte) uint64 {
+	var hdr [32]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(h))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(w))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(c))
+	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(scale))
+	return fnv1a(fnv1a(fnvOffset64, hdr[:]), data)
+}
+
+// digestKey folds an abstract 64-bit identity (the simulator's reuse
+// keys) through the same FNV-1a mix as digest.
+func digestKey(key uint64) uint64 {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], key)
+	return fnv1a(fnvOffset64, buf[:])
+}
+
+// fnv1a folds p into the FNV-1a 64-bit state d.
+func fnv1a(d uint64, p []byte) uint64 {
+	for _, b := range p {
+		d ^= uint64(b)
+		d *= fnvPrime64
+	}
+	return d
+}
+
 // cacheKey identifies an entry: the model it was served on and the
-// input digest (for key-identified entries, the reuse key's FNV mix).
+// input digest (for key-identified entries, the reuse key's digest).
 type cacheKey struct {
 	model  string
 	digest uint64
-}
-
-// bucketKey addresses one LSH bucket: a model's signature in one table.
-type bucketKey struct {
-	model string
-	table int
-	sig   uint64
 }
 
 // cacheEntry is one memoized result.
@@ -158,60 +100,43 @@ type cacheEntry struct {
 	// output is the memoized inference result; nil for analytic
 	// backends, which model time rather than values.
 	output *neuralcache.InferenceResult
-	// sigs holds the entry's per-table LSH signatures (nil under
-	// CacheExact), kept so eviction can unlink its buckets.
-	sigs []uint64
 }
 
 // Cache is the serving tier's memoizing front-cache: a bounded,
-// LRU-evicted map from input digests (optionally fronted by LSH
-// similarity buckets) to inference results, shared by every registered
-// model with per-model accounting. Admission probes it before a request
-// can be queued or rejected — a hit completes immediately and never
-// touches a replica group — and misses fill it when their batch
-// completes. All methods are safe for concurrent use; on the
-// simulator's virtual clock the cache is fully deterministic.
+// LRU-evicted map from input digests to inference results, shared by
+// every registered model with per-model accounting. Admission probes it
+// before a request can be queued or rejected — a hit completes
+// immediately and never touches a replica group — and misses fill it
+// when their batch completes. All methods are safe for concurrent use;
+// on the simulator's virtual clock the cache is fully deterministic.
 //
 // Correctness invariant: a hit is only ever served after the exact-key
 // guard passes — digest equality plus byte equality of the stored
-// input — so neither an FNV collision nor an LSH bucket collision can
-// return another input's output.
+// input — so an FNV collision can never return another input's output.
 type Cache struct {
-	opts CacheOptions
+	capacity int
 
 	mu       sync.Mutex
 	lru      *list.List // of *cacheEntry; front = most recent
 	byKey    map[cacheKey]*list.Element
-	buckets  map[bucketKey][]*list.Element // CacheLSH only
-	planes   map[int]*simhash.Planes       // per input dimension, lazily built
-	sigBuf   []uint64
 	total    CacheStats
 	perModel map[string]*CacheStats
 }
 
 // NewCache builds a front-cache from the options (Capacity must be
 // positive). Both serving drivers construct their own from
-// Options.Cache; build one directly only to unit-test policies.
+// Options.Cache; build one directly only to unit-test it.
 func NewCache(opts CacheOptions) (*Cache, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	if opts.Capacity <= 0 {
+		return nil, fmt.Errorf("serve: cache capacity %d", opts.Capacity)
 	}
-	c := &Cache{
-		opts:     o,
+	return &Cache{
+		capacity: opts.Capacity,
 		lru:      list.New(),
 		byKey:    make(map[cacheKey]*list.Element),
 		perModel: make(map[string]*CacheStats),
-	}
-	if o.Policy == CacheLSH {
-		c.buckets = make(map[bucketKey][]*list.Element)
-		c.planes = make(map[int]*simhash.Planes)
-	}
-	return c, nil
+	}, nil
 }
-
-// Options returns the cache's effective (defaulted) options.
-func (c *Cache) Options() CacheOptions { return c.opts }
 
 // Len returns the live entry count.
 func (c *Cache) Len() int {
@@ -250,17 +175,21 @@ func (c *Cache) model(name string) *CacheStats {
 	return st
 }
 
+// tensorKey keys a model's input tensor by its digest.
+func tensorKey(model string, in *neuralcache.Tensor) cacheKey {
+	return cacheKey{model: model, digest: digest(in.H, in.W, in.C, in.Scale, in.Data)}
+}
+
 // Lookup probes the cache for a model's input tensor, serving the
 // memoized result on a hit (nil results are valid: analytic fills
 // memoize existence, not values). Misses are counted here, so every
 // admission-time probe contributes to the hit-rate accounting.
 func (c *Cache) Lookup(model string, in *neuralcache.Tensor) (*neuralcache.InferenceResult, bool) {
-	digest := simhash.Digest(in.H, in.W, in.C, in.Scale, in.Data)
+	key := tensorKey(model, in)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sigs := c.signTensor(in)
-	e, ok := c.lookup(model, digest, in.Data, sigs)
-	if !ok {
+	e := c.lookup(key, in.Data)
+	if e == nil {
 		return nil, false
 	}
 	return e.output, true
@@ -270,84 +199,30 @@ func (c *Cache) Lookup(model string, in *neuralcache.Tensor) (*neuralcache.Infer
 // Inserting an input that is already cached refreshes it (recency and
 // output) without counting an insert.
 func (c *Cache) Insert(model string, in *neuralcache.Tensor, out *neuralcache.InferenceResult) {
-	digest := simhash.Digest(in.H, in.W, in.C, in.Scale, in.Data)
+	key := tensorKey(model, in)
 	input := append([]byte(nil), in.Data...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sigs := c.signTensor(in)
-	c.insert(model, digest, input, sigs, out)
+	c.insert(key, input, out)
 }
 
 // LookupKey is the virtual-clock driver's probe: the simulator
 // identifies repeated traffic by the reuse key drawn per arrival
 // (Load.Reuse), so key equality is input identity and the byte guard is
-// vacuous. LSH bucketing still applies, over the key's FNV-mixed bytes.
+// vacuous.
 func (c *Cache) LookupKey(model string, key uint64) bool {
-	digest := simhash.DigestKey(key)
+	k := cacheKey{model: model, digest: digestKey(key)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sigs := c.signKey(key)
-	_, ok := c.lookup(model, digest, nil, sigs)
-	return ok
+	return c.lookup(k, nil) != nil
 }
 
 // InsertKey memoizes a key-identified completion (virtual clock).
 func (c *Cache) InsertKey(model string, key uint64) {
-	digest := simhash.DigestKey(key)
+	k := cacheKey{model: model, digest: digestKey(key)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sigs := c.signKey(key)
-	c.insert(model, digest, nil, sigs, nil)
-}
-
-// signTensor computes the per-table signatures of a tensor under
-// CacheLSH (nil otherwise), stride-subsampling inputs longer than
-// lshMaxDim. Callers hold mu (the plane bank is built lazily per input
-// dimension); the returned slice is only valid until the next sign.
-func (c *Cache) signTensor(in *neuralcache.Tensor) []uint64 {
-	if c.opts.Policy != CacheLSH {
-		return nil
-	}
-	n := len(in.Data)
-	if n == 0 {
-		return nil
-	}
-	dim := n
-	x := in.Data
-	if n > lshMaxDim {
-		dim = lshMaxDim
-		buf := make([]byte, dim)
-		for j := 0; j < dim; j++ {
-			buf[j] = in.Data[j*n/dim]
-		}
-		x = buf
-	}
-	return c.sign(x, dim)
-}
-
-// signKey signs a reuse key's little-endian bytes under CacheLSH (nil
-// otherwise); callers hold mu.
-func (c *Cache) signKey(key uint64) []uint64 {
-	if c.opts.Policy != CacheLSH {
-		return nil
-	}
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(key >> (8 * i))
-	}
-	return c.sign(buf[:], len(buf))
-}
-
-func (c *Cache) sign(x []byte, dim int) []uint64 {
-	p := c.planes[dim]
-	if p == nil {
-		// Mix the dimension into the seed so differently shaped models
-		// draw independent plane banks.
-		p = simhash.NewPlanes(dim, c.opts.Tables, c.opts.Bits, c.opts.Seed+int64(dim)*0x9e3779b9)
-		c.planes[dim] = p
-	}
-	c.sigBuf = p.Signatures(x, c.sigBuf[:0])
-	return c.sigBuf
+	c.insert(k, nil, nil)
 }
 
 // match applies the exact-key guard: same model and digest, and — for
@@ -356,77 +231,46 @@ func (e *cacheEntry) match(key cacheKey, input []byte) bool {
 	return e.key == key && bytes.Equal(e.input, input)
 }
 
-// lookup finds a serveable entry, counting the hit or miss (and LSH
-// near-hits) and refreshing recency on hit; callers hold mu.
-func (c *Cache) lookup(model string, digest uint64, input []byte, sigs []uint64) (*cacheEntry, bool) {
-	key := cacheKey{model: model, digest: digest}
-	st := c.model(model)
-	hit := func(el *list.Element) (*cacheEntry, bool) {
-		c.lru.MoveToFront(el)
-		c.total.Hits++
-		st.Hits++
-		return el.Value.(*cacheEntry), true
-	}
-	if c.opts.Policy == CacheLSH {
-		candidates := false
-		for t, sig := range sigs {
-			for _, el := range c.buckets[bucketKey{model: model, table: t, sig: sig}] {
-				e := el.Value.(*cacheEntry)
-				if e.match(key, input) {
-					return hit(el)
-				}
-				candidates = true
-			}
+// lookup finds a servable entry (nil on a miss), counting the hit or
+// miss and refreshing recency on a hit; callers hold mu.
+func (c *Cache) lookup(key cacheKey, input []byte) *cacheEntry {
+	st := c.model(key.model)
+	if el, ok := c.byKey[key]; ok {
+		e := el.Value.(*cacheEntry)
+		if e.match(key, input) {
+			c.lru.MoveToFront(el)
+			c.total.Hits++
+			st.Hits++
+			return e
 		}
-		if candidates {
-			// A bucket collision the guard refused: without the exact
-			// compare this would have served another input's output.
-			c.total.NearHits++
-			st.NearHits++
-		}
-	} else if el, ok := c.byKey[key]; ok {
-		if e := el.Value.(*cacheEntry); e.match(key, input) {
-			return hit(el)
-		}
-		// An FNV digest collision: counted like an LSH near-hit.
+		// An FNV digest collision: without the byte compare this would
+		// have served another input's output.
 		c.total.NearHits++
 		st.NearHits++
 	}
 	c.total.Misses++
 	st.Misses++
-	return nil, false
+	return nil
 }
 
 // insert creates or refreshes an entry at the LRU front and evicts
 // beyond capacity; callers hold mu. input must be the caller's own copy
 // (or nil for key-identified entries).
-func (c *Cache) insert(model string, digest uint64, input []byte, sigs []uint64, out *neuralcache.InferenceResult) {
-	key := cacheKey{model: model, digest: digest}
+func (c *Cache) insert(key cacheKey, input []byte, out *neuralcache.InferenceResult) {
 	if el, ok := c.byKey[key]; ok {
 		// Refresh. On the rare digest collision the newer input wins:
 		// the displaced input simply misses again — the guard never
 		// serves it the wrong output either way.
 		e := el.Value.(*cacheEntry)
-		if !bytes.Equal(e.input, input) {
-			c.unbucket(el, e)
-			e.input = input
-			e.sigs = append([]uint64(nil), sigs...)
-			c.bucket(el, e)
-		}
+		e.input = input
 		e.output = out
 		c.lru.MoveToFront(el)
 		return
 	}
-	e := &cacheEntry{key: key, input: input, output: out}
-	if c.opts.Policy == CacheLSH {
-		e.sigs = append([]uint64(nil), sigs...)
-	}
-	el := c.lru.PushFront(e)
-	c.byKey[key] = el
-	c.bucket(el, e)
+	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, input: input, output: out})
 	c.total.Inserts++
-	c.model(model).Inserts++
-	for c.lru.Len() > c.opts.Capacity {
+	c.model(key.model).Inserts++
+	for c.lru.Len() > c.capacity {
 		c.evict()
 	}
 }
@@ -440,36 +284,6 @@ func (c *Cache) evict() {
 	e := el.Value.(*cacheEntry)
 	c.lru.Remove(el)
 	delete(c.byKey, e.key)
-	c.unbucket(el, e)
 	c.total.Evictions++
 	c.model(e.key.model).Evictions++
-}
-
-// bucket links an entry into its LSH buckets; callers hold mu.
-func (c *Cache) bucket(el *list.Element, e *cacheEntry) {
-	for t, sig := range e.sigs {
-		k := bucketKey{model: e.key.model, table: t, sig: sig}
-		c.buckets[k] = append(c.buckets[k], el)
-	}
-}
-
-// unbucket unlinks an entry from its LSH buckets; callers hold mu.
-// Buckets are short (capacity-bounded), so the scan is cheap.
-func (c *Cache) unbucket(el *list.Element, e *cacheEntry) {
-	for t, sig := range e.sigs {
-		k := bucketKey{model: e.key.model, table: t, sig: sig}
-		b := c.buckets[k]
-		for i, other := range b {
-			if other == el {
-				b[i] = b[len(b)-1]
-				b = b[:len(b)-1]
-				break
-			}
-		}
-		if len(b) == 0 {
-			delete(c.buckets, k)
-		} else {
-			c.buckets[k] = b
-		}
-	}
 }

@@ -8,35 +8,13 @@ import (
 )
 
 func TestCacheOptionsValidation(t *testing.T) {
-	bad := []CacheOptions{
-		{Capacity: 0},
-		{Capacity: -4},
-		{Capacity: 8, Policy: CachePolicy(9)},
-		{Capacity: 8, Policy: CacheLSH, Tables: 65},
-		{Capacity: 8, Policy: CacheLSH, Tables: -1},
-		{Capacity: 8, Policy: CacheLSH, Bits: 65},
-		{Capacity: 8, Policy: CacheLSH, Bits: -1},
-	}
-	for i, o := range bad {
-		if _, err := NewCache(o); err == nil {
-			t.Errorf("case %d: NewCache(%+v) accepted invalid options", i, o)
+	for _, capacity := range []int{0, -4} {
+		if _, err := NewCache(CacheOptions{Capacity: capacity}); err == nil {
+			t.Errorf("NewCache accepted capacity %d", capacity)
 		}
 	}
-	c, err := NewCache(CacheOptions{Capacity: 8, Policy: CacheLSH})
-	if err != nil {
+	if _, err := NewCache(CacheOptions{Capacity: 8}); err != nil {
 		t.Fatal(err)
-	}
-	if o := c.Options(); o.Tables != 4 || o.Bits != 16 || o.Seed == 0 {
-		t.Fatalf("defaults not filled: %+v", o)
-	}
-	if _, err := ParseCachePolicy("banana"); err == nil {
-		t.Fatal("ParseCachePolicy accepted an unknown policy")
-	}
-	for _, p := range []CachePolicy{CacheExact, CacheLSH} {
-		back, err := ParseCachePolicy(p.String())
-		if err != nil || back != p {
-			t.Fatalf("policy %v did not round-trip: %v, %v", p, back, err)
-		}
 	}
 }
 
@@ -162,54 +140,92 @@ func TestCacheRefreshDoesNotCountInsert(t *testing.T) {
 	}
 }
 
-// cacheInput builds a small deterministic tensor whose bytes are a
-// function of key.
-func cacheInput(key int) *neuralcache.Tensor {
-	in := neuralcache.NewTensor(4, 4, 1, 1.0/255)
-	r := rand.New(rand.NewSource(int64(1000 + key)))
-	for j := range in.Data {
-		in.Data[j] = uint8(r.Intn(256))
-	}
-	return in
-}
-
-// TestCacheLSHGuardNeverServesWrongOutput degenerates the LSH geometry
-// to one 1-bit table — near-certain bucket collisions between distinct
-// inputs — and requires every hit to return exactly the output that was
-// inserted for that input. The collisions show up as NearHits, never as
-// wrong answers.
-func TestCacheLSHGuardNeverServesWrongOutput(t *testing.T) {
-	c, err := NewCache(CacheOptions{Capacity: 64, Policy: CacheLSH, Tables: 1, Bits: 1})
+// TestCacheGuardRefusesDigestCollision forces two different inputs
+// onto one digest and requires the exact-key guard to serve each only
+// its own output: the colliding probe misses and counts a near-hit, and
+// a refill hands the entry to the newer input without counting an
+// insert.
+func TestCacheGuardRefusesDigestCollision(t *testing.T) {
+	c, err := NewCache(CacheOptions{Capacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 32
-	outputs := make([]*neuralcache.InferenceResult, n)
-	for k := 0; k < n; k++ {
-		outputs[k] = &neuralcache.InferenceResult{ArraysUsed: k + 1}
-		c.Insert("m", cacheInput(k), outputs[k])
-	}
-	for k := 0; k < n; k++ {
-		got, ok := c.Lookup("m", cacheInput(k))
-		if !ok {
-			t.Fatalf("key %d missed despite being cached under capacity", k)
+	key := cacheKey{model: "m", digest: 0xc0111de}
+	a, b := []byte{1, 2, 3, 4}, []byte{1, 2, 3, 5}
+	outA := &neuralcache.InferenceResult{ArraysUsed: 1}
+	outB := &neuralcache.InferenceResult{ArraysUsed: 2}
+	lookup := func(input []byte) *neuralcache.InferenceResult {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if e := c.lookup(key, input); e != nil {
+			return e.output
 		}
-		if got != outputs[k] {
-			t.Fatalf("key %d served output %+v, want its own %+v — the exact-match guard failed", k, got, outputs[k])
+		return nil
+	}
+	insert := func(input []byte, out *neuralcache.InferenceResult) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.insert(key, append([]byte(nil), input...), out)
+	}
+
+	insert(a, outA)
+	if got := lookup(a); got != outA {
+		t.Fatalf("A served %+v, want its own output %+v", got, outA)
+	}
+	if got := lookup(b); got != nil {
+		t.Fatalf("B shares A's digest and was served %+v — the guard failed", got)
+	}
+	if st := c.Stats(); st.NearHits != 1 {
+		t.Fatalf("near-hits %d after one refused collision, want 1", st.NearHits)
+	}
+	insert(b, outB)
+	if got := lookup(b); got != outB {
+		t.Fatalf("B served %+v after its refill, want its own output %+v", got, outB)
+	}
+	if got := lookup(a); got != nil {
+		t.Fatalf("A was served %+v after B took its digest", got)
+	}
+	want := CacheStats{Hits: 2, Misses: 2, Inserts: 1, NearHits: 2}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+func TestDigestDeterministicAndSensitive(t *testing.T) {
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	d1 := digest(4, 4, 4, 1.0/255, data)
+	d2 := digest(4, 4, 4, 1.0/255, data)
+	if d1 != d2 {
+		t.Fatalf("same input digested differently: %x vs %x", d1, d2)
+	}
+	// Any header or payload change must move the digest.
+	if digest(4, 4, 4, 1.0/128, data) == d1 {
+		t.Fatal("scale change did not change the digest")
+	}
+	if digest(8, 4, 2, 1.0/255, data) == d1 {
+		t.Fatal("shape change did not change the digest")
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[17] ^= 1
+	if digest(4, 4, 4, 1.0/255, flipped) == d1 {
+		t.Fatal("single-bit payload change did not change the digest")
+	}
+}
+
+func TestDigestKeyDistinct(t *testing.T) {
+	seen := make(map[uint64]uint64)
+	for k := uint64(0); k < 10_000; k++ {
+		d := digestKey(k)
+		if prev, ok := seen[d]; ok {
+			t.Fatalf("keys %d and %d share digest %x", prev, k, d)
 		}
-	}
-	// A never-inserted input lands in a crowded bucket but must miss.
-	for k := n; k < 2*n; k++ {
-		if _, ok := c.Lookup("m", cacheInput(k)); ok {
-			t.Fatalf("uncached input %d hit — an LSH bucket collision was served", k)
+		seen[d] = k
+		if d != digestKey(k) {
+			t.Fatalf("key %d digests nondeterministically", k)
 		}
-	}
-	st := c.Stats()
-	if st.NearHits == 0 {
-		t.Fatal("1-bit LSH produced zero near-hits; the collision guard was never exercised")
-	}
-	if st.Hits != n || st.Misses != n {
-		t.Fatalf("hits %d misses %d, want %d and %d", st.Hits, st.Misses, n, n)
 	}
 }
 

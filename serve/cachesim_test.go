@@ -346,9 +346,9 @@ func TestLoadTestWallClockReuseSmoke(t *testing.T) {
 }
 
 // TestServerCachedBitExactNeverWrong: the bit-exact server with a
-// degenerate 1-bit LSH cache (maximal bucket collisions) must serve
-// every request — hit or miss — byte-identical to calling System.Run
-// directly, and sequential repeats must actually hit.
+// front-cache must serve every request — hit or miss — byte-identical
+// to calling System.Run directly, and sequential repeats must actually
+// hit.
 func TestServerCachedBitExactNeverWrong(t *testing.T) {
 	const universe, n = 4, 12
 	m := neuralcache.SmallCNN()
@@ -366,7 +366,7 @@ func TestServerCachedBitExactNeverWrong(t *testing.T) {
 
 	srv, err := NewServer(NewBitExactBackend(newSystem(t, 0), m), Options{
 		MaxBatch: 4, MaxLinger: NoLinger,
-		Cache: CacheOptions{Capacity: 8, Policy: CacheLSH, Tables: 1, Bits: 1},
+		Cache: CacheOptions{Capacity: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,8 @@ func twoModelBackend(t testing.TB, workers int) *AnalyticBackend {
 }
 
 // TestSimulateTwoModelDeterministic: a mixed two-model load produces a
-// byte-identical LoadReport on every run and for every worker count.
+// byte-identical LoadReport on every run and for every worker count,
+// with a non-degenerate warm/cold split and every model served.
 func TestSimulateTwoModelDeterministic(t *testing.T) {
 	opts := Options{MaxBatch: 8, MaxLinger: 500 * time.Microsecond, QueueDepth: 4096}
 	load := Load{Rate: 4000, Requests: 20_000, Seed: 7, Poisson: true,
@@ -64,6 +65,16 @@ func TestSimulateTwoModelDeterministic(t *testing.T) {
 	}
 	if got := inc.Offered + res.Offered; got != reports[0].Offered {
 		t.Fatalf("per-model offered %d != total %d", got, reports[0].Offered)
+	}
+	if inc.Served == 0 || res.Served == 0 {
+		t.Fatalf("a model served nothing: %+v / %+v", inc, res)
+	}
+	rep := reports[0]
+	if rep.WarmDispatches == 0 || rep.ColdDispatches == 0 {
+		t.Fatalf("degenerate warm/cold split: warm %d, cold %d", rep.WarmDispatches, rep.ColdDispatches)
+	}
+	if rep.WarmDispatches+rep.ColdDispatches != rep.Batches {
+		t.Fatalf("warm %d + cold %d != batches %d", rep.WarmDispatches, rep.ColdDispatches, rep.Batches)
 	}
 }
 

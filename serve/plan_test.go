@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -454,8 +455,24 @@ func TestServerPlannedLive(t *testing.T) {
 	}
 	// The repinned pool serves resnet on its new groups without panic;
 	// a LoadTest on the planned server reports the plan and restages.
-	rep, err := LoadTest(srv, Load{Rate: 2000, Requests: 200, Seed: 9, Poisson: true,
-		Mix: []ModelShare{{Model: "inception_v3", Weight: 1}, {Model: "resnet_18", Weight: 3}}}, nil)
+	// It offers half of what the tightest pinned pool serves at its
+	// model's traffic share, so the queue stays well inside its 64-deep
+	// bound even when the host is busy. Plan rows follow the backend's
+	// registration order, as the mix does.
+	mix := []ModelShare{{Model: "inception_v3", Weight: 1}, {Model: "resnet_18", Weight: 3}}
+	rate := math.Inf(1)
+	for i, mp := range next.Models {
+		st, err := backend.ServiceTime(mp.Model, 4, next.GroupSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capacity := float64(len(mp.Groups)*4) / st.Seconds()
+		rate = math.Min(rate, capacity/2/(mix[i].Weight/4))
+	}
+	if rate <= 0 || math.IsInf(rate, 0) {
+		t.Fatalf("re-planned pools give offered rate %v", rate)
+	}
+	rep, err := LoadTest(srv, Load{Rate: rate, Requests: 200, Seed: 9, Poisson: true, Mix: mix}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

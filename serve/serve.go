@@ -60,14 +60,14 @@
 // cache (Cache, serve/cache.go) in front of admission. Hits are served
 // at admission for a hash probe's cost — they never enter the batcher,
 // so every hit returns replica-group capacity to the miss traffic —
-// and misses fill the cache when their batch completes. Exact-match
-// keying digests the quantized input bytes; CacheLSH adds random-
-// hyperplane similarity buckets, always guarded by an exact byte
-// compare so a collision can never serve a wrong output. Load.Reuse
-// generates Zipf-repeated traffic to exercise it, LoadReport carries
-// hit/miss/eviction counters, and plan.Options.CacheHitRate lets the
-// planner size warm sets on the residual miss mix. SweepCache answers
-// "what hit rate turns the cache into free capacity".
+// and misses fill the cache when their batch completes. Entries are
+// keyed by a digest of the quantized input bytes, and a byte compare
+// against the stored input guards every hit, so a digest collision can
+// never serve a wrong output. Load.Reuse generates Zipf-repeated
+// traffic to exercise it, LoadReport carries hit/miss/eviction
+// counters, and plan.Options.CacheHitRate lets the planner size warm
+// sets on the residual miss mix. SweepCache answers "what hit rate
+// turns the cache into free capacity".
 //
 // Two backends implement the Backend interface:
 //
@@ -273,12 +273,6 @@ func (o Options) withDefaults(sys *neuralcache.System) (Options, error) {
 	}
 	if o.Cache.Capacity < 0 {
 		return o, fmt.Errorf("serve: cache capacity %d", o.Cache.Capacity)
-	}
-	if o.Cache.Enabled() {
-		var err error
-		if o.Cache, err = o.Cache.withDefaults(); err != nil {
-			return o, err
-		}
 	}
 	return o, nil
 }

@@ -132,10 +132,12 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 // TestRunSteadyStateAllocations locks in that a bit-exact run pays only
 // for simulated work: once a warm-up run has filled the System's cache
-// pool, a run on the full 14-slice LLC allocates well under the 35 MB an
-// eagerly built cache would cost.
+// pool, a run on the full 14-slice LLC allocates no staging buffer (the
+// input and filter images, accumulators and worker scratch are pooled
+// with the cache), only its results, trace and requantized tensors:
+// 12–16 KB on SmallCNN, Int4CNN and WideCNN, with or without -race.
 func TestRunSteadyStateAllocations(t *testing.T) {
-	const limit = 2 << 20 // bytes per run
+	const limit = 20 << 10 // bytes per run
 	sys, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -100,6 +100,16 @@ func (s *System) EstimateDensity(net *nn.Network, batch int, density float64) (*
 	return rep, nil
 }
 
+// repeatBus prices n intra-slice bus transfers of the same bytes: one
+// Fabric.BusCycles call into a scratch ledger, its cycles and traffic
+// then multiplied by n. Integer-exact, it charges what n calls would.
+func repeatBus(fabric interconnect.Config, traffic *interconnect.Traffic, n, bytes int, replicated bool) uint64 {
+	var one interconnect.Traffic
+	cycles := fabric.BusCycles(&one, bytes, replicated)
+	traffic.BusBytes += uint64(n) * one.BusBytes
+	return uint64(n) * cycles
+}
+
 func placedInputShape(net *nn.Network, gi int) tensor.Shape {
 	sh := net.Input
 	for i := 0; i < gi; i++ {
@@ -126,9 +136,7 @@ func (s *System) convCost(lr *LayerReport, rep *Report, traffic *interconnect.Tr
 	lr.Seconds[PhaseFilterLoad] += cfg.DRAM.StreamSeconds(filterBytes)
 	rep.Ledger.DRAMBytes += uint64(filterBytes)
 	cfg.Fabric.RingBroadcastCycles(traffic, filterBytes)
-	for i := 0; i < slices; i++ {
-		cfg.Fabric.BusBroadcastCycles(traffic, filterBytes/slices)
-	}
+	repeatBus(cfg.Fabric, traffic, slices, filterBytes/slices, false)
 	rep.Ledger.ArrayAccessCycles += uint64(activeArrays) *
 		uint64(plan.Layout.FilterElems*plan.Layout.WeightBits)
 
@@ -140,10 +148,7 @@ func (s *System) convCost(lr *LayerReport, rep *Report, traffic *interconnect.Tr
 	depositPerSlice := float64(activeLanes*plan.EffFilter) / float64(slices)
 	depositPerSlice *= (1 - plan.ReuseFraction)
 	depositPerSlice /= cfg.InputMulticastFactor
-	var inputCycles uint64
-	for it := 0; it < plan.SerialIters; it++ {
-		inputCycles += cfg.Fabric.BusCycles(traffic, int(depositPerSlice), true)
-	}
+	inputCycles := repeatBus(cfg.Fabric, traffic, plan.SerialIters, int(depositPerSlice), true)
 	lr.Seconds[PhaseInputStream] += fBatch * cost.Seconds(inputCycles)
 	rep.Ledger.ArrayAccessCycles += uint64(fBatch) * uint64(activeArrays) *
 		uint64(plan.SerialIters*plan.EffFilter*plan.Layout.ActBits)
@@ -296,10 +301,7 @@ func (s *System) poolCost(lr *LayerReport, rep *Report, traffic *interconnect.Tr
 	// Inputs stream one byte per window element per lane.
 	depositPerSlice := plan.ParallelOut * plan.Window / slices
 	depositPerSlice = int(float64(depositPerSlice) / cfg.InputMulticastFactor)
-	var inputCycles uint64
-	for it := 0; it < plan.SerialIters; it++ {
-		inputCycles += cfg.Fabric.BusCycles(traffic, depositPerSlice, true)
-	}
+	inputCycles := repeatBus(cfg.Fabric, traffic, plan.SerialIters, depositPerSlice, true)
 	lr.Seconds[PhaseInputStream] += fBatch * cost.Seconds(inputCycles)
 
 	// Running max (or running sum + divide/shift) per window element.

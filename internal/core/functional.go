@@ -167,8 +167,10 @@ func (s *System) RunFunctionalFaulty(net *nn.Network, in *tensor.Quant, inject F
 // runCache is a simulated cache leased to one functional run, with the
 // run's per-ordinal first-use table. It also carries the host buffers
 // the runs that lease it reuse, each grown on demand: one scratch per
-// worker index, the group ledgers of a parallel section and a
-// convolution's raw accumulators.
+// worker index, the group ledgers of a parallel section, and a
+// convolution's raw accumulators, transposed input image and packed
+// filter images. Layers run one at a time, so one of each serves every
+// convolution of a run; a steady-state run allocates none of them.
 type runCache struct {
 	cache   *geometry.Cache
 	touched []bool
@@ -176,6 +178,8 @@ type runCache struct {
 	shares  []groupShare
 	errs    []error
 	accs    []int64
+	input   inputImage
+	filters filterImages
 }
 
 // zeroed returns buf resliced to n zero elements, reallocating it when
@@ -255,18 +259,30 @@ func (f *funcExec) arrayFor(ordinal int) *sram.Array {
 // leased runCache keeps one per worker index, so the buffers are reused
 // across the groups, layers and runs that worker index executes; a group
 // must not rely on any content left by an earlier group, layer or run.
+// Only arrs, lanes and bytes grow with the group's array count; the
+// arrays are sized for the widest group (an array pair of 8-bit planes)
+// and the most slots a group holds.
 type scratch struct {
-	arrs   []*sram.Array         // the group's arrays
-	lanes  []uint64              // one element per lane of the group's arrays
-	bytes  []byte                // one byte per lane of the group's arrays
-	planes [8]bitvec.Vec256      // one packed column of up to 8-bit elements
-	sums   [sram.BitLines]int64  // per-slot host sums
-	origin [sram.BitLines]window // per-slot window origin
+	arrs   []*sram.Array          // the group's arrays
+	lanes  []uint64               // one element per lane of the group's arrays
+	bytes  []byte                 // one byte per lane of the group's arrays
+	planes [8]bitvec.Vec256       // one packed column of up to 8-bit elements
+	grid   [2 * 8]bitvec.Vec256   // a MAC step's input planes: array p's plane i at p·ab+i
+	sums   [sram.BitLines]int64   // per-slot host sums
+	origin [sram.BitLines]window  // per-slot window origin
+	runs   [sram.BitLines]slotRun // a convolution group's slots, by window origin
 }
 
 // window is one output slot's receptive-field origin (top-left input
 // row and column, before padding is clipped) and channel.
 type window struct{ h, w, ch int }
+
+// slotRun is a run of a convolution group's consecutive slots [lo, hi)
+// whose windows share the origin o.
+type slotRun struct {
+	o      window
+	lo, hi int
+}
 
 // sized re-slices the buffers to the lanes of k arrays, growing them
 // when k exceeds every earlier group size. Callers rely on the exact
@@ -454,11 +470,15 @@ func (f *funcExec) recordSkip(name string, fn func() error) error {
 // slot's first lane in one strided read each and applies the correction
 // zero_w·Σq_a and bias.
 //
-// Inputs stay bytes on the host, as the TMU would see them: each MAC
-// step's operands are copied from the tensor into the worker's byte
-// column, checked against ActBits, and packed straight into bit planes
-// (bitvec.PackBytes) for WritePlanes, in the resident and the streamed
-// layout alike. Each slot's window origin is decoded once per group.
+// Inputs stay bytes on the host, as the TMU would see them, and every
+// byte of the layer's input is checked against ActBits before any group
+// runs. A plain layout (no filter split or packing) transposes its input
+// once per layer into an inputImage, as the gateway does (§IV-C), and
+// each group assembles a MAC step's input planes from it with word-wide
+// masked ORs, one per run of slots that share a window. Split and packed
+// layouts gather each step's operands lane by lane into the worker's
+// byte column and pack them with bitvec.PackBytes. Each group records
+// its slots' window runs once.
 func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quant, bias []int32) ([]int64, error) {
 	L := plan.LanesPerConv
 	lay := plan.Layout
@@ -480,8 +500,14 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 	lanesPerArray := min(L, sram.BitLines)
 	nGroups := (total + slotsPer - 1) / slotsPer
 	fabric := f.sys.cfg.Fabric
-	filters := packFilters(plan, c, out, slotsPer, nGroups)
+	filters := &f.rc.filters
+	filters.pack(plan, c, out, slotsPer, nGroups)
+	checkActBits(c, x, ab)
 	plain := plan.PackFactor == 1 && plan.SplitFactor == 1
+	img := &f.rc.input
+	if plain {
+		img.pack(x, L, ab)
+	}
 
 	skipZero := f.sys.cfg.SkipZeroSlices
 	return accs, f.runGroups(nGroups, arraysPer, func(g int, arrs []*sram.Array, acct *groupShare, sc *scratch) error {
@@ -490,47 +516,31 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 		// Flat byte column across the group's arrays: array p stages the
 		// 256-lane window [p·256, (p+1)·256).
 		col := sc.bytes
-		inPlanes := sc.planes[:ab]
+		grid := sc.grid[:arraysPer*ab]
 		saHost := sc.sums[:slots]
 		clear(saHost)
-		origin := sc.origin[:slots]
-		for slot := range origin {
-			e, fw, _ := decodeConv(base+slot, out)
-			origin[slot] = window{h: e*c.Stride - c.PadH, w: fw*c.Stride - c.PadW}
-		}
+		runs := slotRuns(sc.runs[:0], c, out, base, slots)
 
-		// gather assembles MAC step j's input bytes; the unsplit/unpacked
-		// layout keeps operands channel-contiguous in the tensor, so each
-		// slot's lanes copy from one tensor row. Every byte must fit the
-		// staged width ActBits.
-		gather := func(j int) {
-			clear(col)
+		// stage assembles MAC step j's input planes in grid, array p's at
+		// grid[p·ab:]: from the image for a plain layout, else by sampling
+		// each lane's operand byte and packing the byte column.
+		stage := func(j int) {
 			if plain {
-				r, s, cin := j/c.S, j%c.S, min(L, c.Cin)
-				H, W, C := x.Shape.H, x.Shape.W, x.Shape.C
-				for slot, o := range origin {
-					h, wd := o.h+r, o.w+s
-					if h >= 0 && h < H && wd >= 0 && wd < W {
-						at := (h*W + wd) * C
-						copy(col[slot*L:slot*L+cin], x.Data[at:at+cin])
-					}
-				}
-			} else {
-				for slot, o := range origin {
+				img.stage(runs, j/c.S, j%c.S, grid)
+				return
+			}
+			clear(col)
+			for _, rn := range runs {
+				for slot := rn.lo; slot < rn.hi; slot++ {
 					dst := col[slot*L : slot*L+L]
 					for lane := range dst {
 						pos, ch := operandIndex(plan, lane, j)
-						dst[lane] = inputByte(c, x, o.h, o.w, pos, ch)
+						dst[lane] = inputByte(c, x, rn.o.h, rn.o.w, pos, ch)
 					}
 				}
 			}
-			if ab < 8 {
-				for lane, v := range col {
-					if v>>uint(ab) != 0 {
-						panic(fmt.Sprintf("core: %s input %#x at lane %d exceeds ActBits=%d",
-							c.LayerName, v, lane, ab))
-					}
-				}
+			for p := range arrs {
+				bitvec.PackBytes(col[p*sram.BitLines:(p+1)*sram.BitLines], ab, grid[p*ab:(p+1)*ab])
 			}
 		}
 
@@ -539,10 +549,9 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				arr.WritePlanes(lay.FilterRow()+wb*j, wb, filters.at(g, j, p), sram.BitLines)
 			}
 			if !plan.InputStreamed {
-				gather(j)
+				stage(j)
 				for p, arr := range arrs {
-					bitvec.PackBytes(col[p*sram.BitLines:(p+1)*sram.BitLines], ab, inPlanes)
-					arr.WritePlanes(lay.InputRow()+ab*j, ab, inPlanes, sram.BitLines)
+					arr.WritePlanes(lay.InputRow()+ab*j, ab, grid[p*ab:(p+1)*ab], sram.BitLines)
 				}
 			}
 		}
@@ -560,16 +569,16 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 				// into the host's Σq_a by popcounting each plane over the
 				// slot's lane window (Σ 2^i · ones(plane_i)) — the word-
 				// packed replacement for a per-lane accumulation loop.
-				gather(j)
+				stage(j)
 				inRow = lay.InputRow()
 				for p, arr := range arrs {
-					bitvec.PackBytes(col[p*sram.BitLines:(p+1)*sram.BitLines], ab, inPlanes)
-					arr.WritePlanes(inRow, ab, inPlanes, sram.BitLines)
+					planes := grid[p*ab : (p+1)*ab]
+					arr.WritePlanes(inRow, ab, planes, sram.BitLines)
 					plo := p * sram.BitLines
 					for slot := 0; slot < slots; slot++ {
 						lo := slot*L - plo
-						for i := 0; i < ab; i++ {
-							saHost[slot] += int64(inPlanes[i].OnesCountRange(lo, lo+L)) << uint(i)
+						for i, plane := range planes {
+							saHost[slot] += int64(plane.OnesCountRange(lo, lo+L)) << uint(i)
 						}
 					}
 				}
@@ -669,6 +678,8 @@ func (f *funcExec) convAccs(plan *mapping.ConvPlan, c *nn.Conv2D, x *tensor.Quan
 // slots, so its filter image repeats every Cout/gcd(Cout, slotsPer)
 // groups. A partial last group leaves the lanes beyond its slots zero,
 // so it gets an image of its own unless it falls in the first period.
+// The leased runCache keeps one, so data and col are reused by every
+// convolution of every run that leases it, grown on demand.
 type filterImages struct {
 	period  int // images per repetition, at most the group count
 	partial int // a partial last group past the first period, or -1
@@ -676,6 +687,7 @@ type filterImages struct {
 	step    int // planes per MAC step: arrays × wb
 	wb      int // planes per MAC step and array
 	data    []bitvec.Vec256
+	col     []byte // one MAC step's weight bytes across a group's lanes
 }
 
 // at returns the wb filter planes group g stages on its array p for MAC
@@ -689,28 +701,27 @@ func (fi *filterImages) at(g, j, p int) []bitvec.Vec256 {
 	return fi.data[off : off+fi.wb]
 }
 
-// packFilters gathers and packs the filter image of each distinct group
-// of a convolution, straight from the filter bytes. Every weight must fit
-// the plan's WeightBits.
-func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, nGroups int) *filterImages {
+// pack gathers and packs the filter image of each distinct group of a
+// convolution into fi, straight from the filter bytes. Every weight must
+// fit the plan's WeightBits.
+func (fi *filterImages) pack(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPer, nGroups int) {
 	L := plan.LanesPerConv
 	wb := plan.WeightBits
 	arrays := plan.ArraysPerConv
 	total := out.Elems()
-	fi := &filterImages{
-		period:  min(c.Cout/gcd(c.Cout, slotsPer), nGroups),
-		partial: -1,
-		step:    arrays * wb,
-		wb:      wb,
-	}
+	fi.period = min(c.Cout/gcd(c.Cout, slotsPer), nGroups)
+	fi.partial = -1
+	fi.step = arrays * wb
+	fi.wb = wb
 	fi.stride = plan.EffFilter * fi.step
 	images := fi.period
 	if last := nGroups - 1; total%slotsPer != 0 && last >= fi.period {
 		fi.partial = last
 		images++
 	}
-	fi.data = make([]bitvec.Vec256, images*fi.stride)
-	flat := make([]byte, arrays*sram.BitLines)
+	fi.data = zeroed(fi.data, images*fi.stride)
+	fi.col = zeroed(fi.col, arrays*sram.BitLines)
+	flat := fi.col
 	for img := 0; img < images; img++ {
 		g := img
 		if img == fi.period {
@@ -743,7 +754,137 @@ func packFilters(plan *mapping.ConvPlan, c *nn.Conv2D, out tensor.Shape, slotsPe
 			}
 		}
 	}
-	return fi
+}
+
+// inputImage is a plain-layout convolution's input tensor transposed
+// once per layer. For every input position and activation bit it holds
+// the position's slot field: the bit of each of its Cin channels, in
+// lane order, zero up to the L lanes of a slot. A field narrower than a
+// word (L < 64) is tiled across the word, so each slot a plane word
+// holds finds the field at its own lanes; a wider one takes L/64 words.
+// The leased runCache keeps one, grown on demand; it is built on the
+// calling goroutine before a layer's groups run, which only read it.
+type inputImage struct {
+	h, w   int      // input height and width
+	lanes  int      // L, lanes per slot
+	ab     int      // bits per element: the layer's ActBits
+	words  int      // words per field: max(1, L/64)
+	flat   []uint64 // the tensor's bit planes: bit i of element e at flat[i·len/ab + e/64]
+	fields []uint64 // word k of position p's bit-i field at fields[(p·words+k)·ab+i]
+}
+
+// pack transposes x into the image for slots of L lanes at ab bits: the
+// tensor is packed into flat bit planes 256 bytes at a time
+// (bitvec.PackBytes), and each position's field is cut from them. Bits
+// of x at or above ab are ignored.
+func (im *inputImage) pack(x *tensor.Quant, L, ab int) {
+	n := len(x.Data)
+	chunks := (n + bitvec.Bits - 1) / bitvec.Bits
+	stride := chunks * bitvec.Words
+	im.flat = zeroed(im.flat, ab*stride)
+	var planes [8]bitvec.Vec256
+	for k := 0; k < chunks; k++ {
+		bitvec.PackBytes(x.Data[k*bitvec.Bits:min(n, (k+1)*bitvec.Bits)], ab, planes[:ab])
+		for i, plane := range planes[:ab] {
+			copy(im.flat[i*stride+k*bitvec.Words:], plane[:])
+		}
+	}
+
+	im.h, im.w, im.lanes, im.ab = x.Shape.H, x.Shape.W, L, ab
+	im.words = max(1, L/64)
+	// Multiplying an L-bit field by Σ_k 2^(kL) repeats it every L bits.
+	tile := uint64(1)
+	if L < 64 {
+		tile = ^uint64(0) / (1<<uint(L) - 1)
+	}
+	C := x.Shape.C
+	positions := im.h * im.w
+	im.fields = zeroed(im.fields, positions*im.words*ab)
+	for p := 0; p < positions; p++ {
+		for k := 0; k < im.words && 64*k < C; k++ {
+			word := im.fields[(p*im.words+k)*ab:][:ab]
+			for i := range word {
+				word[i] = tile * bitsAt(im.flat[i*stride:(i+1)*stride], p*C+64*k, min(64, C-64*k))
+			}
+		}
+	}
+}
+
+// stage assembles MAC step (r, s)'s input planes for a group's slot runs
+// into grid, array p's plane i at grid[p·ab+i]. Every run whose shifted
+// position lies inside the image ORs the position's field, masked to the
+// run's lanes, into each plane word the run covers; a padding position
+// leaves its run's lanes zero.
+func (im *inputImage) stage(runs []slotRun, r, s int, grid []bitvec.Vec256) {
+	clear(grid)
+	ab, words := im.ab, im.words
+	for _, rn := range runs {
+		h, w := rn.o.h+r, rn.o.w+s
+		if h < 0 || h >= im.h || w < 0 || w >= im.w {
+			continue
+		}
+		field := im.fields[(h*im.w+w)*words*ab:][:words*ab]
+		lo, hi := rn.lo*im.lanes, rn.hi*im.lanes
+		for gw := lo / 64; gw*64 < hi; gw++ {
+			mask := ^uint64(0)
+			if d := lo - gw*64; d > 0 {
+				mask <<= uint(d)
+			}
+			if d := gw*64 + 64 - hi; d > 0 {
+				mask &= ^uint64(0) >> uint(d)
+			}
+			src := field[gw%words*ab:][:ab]
+			planes := grid[gw/bitvec.Words*ab:][:len(src)]
+			col := uint(gw) % bitvec.Words
+			for i, v := range src {
+				planes[i][col] |= v & mask
+			}
+		}
+	}
+}
+
+// bitsAt returns the n ≤ 64 bits of the bit string words starting at bit
+// at, the first in the least significant position.
+func bitsAt(words []uint64, at, n int) uint64 {
+	w, off := at/64, uint(at%64)
+	v := words[w] >> off
+	if off != 0 && int(off)+n > 64 {
+		v |= words[w+1] << (64 - off)
+	}
+	if n < 64 {
+		v &= 1<<uint(n) - 1
+	}
+	return v
+}
+
+// slotRuns records the slots [base, base+slots) of a convolution group as
+// runs of consecutive slots whose windows share an origin, appended to
+// dst. Slots are ordered m-fastest, so a run is one output position's
+// channels within the group, up to Cout slots, and each run's origin is
+// decoded once.
+func slotRuns(dst []slotRun, c *nn.Conv2D, out tensor.Shape, base, slots int) []slotRun {
+	for slot := 0; slot < slots; {
+		e, fw, m := decodeConv(base+slot, out)
+		hi := min(slots, slot+out.C-m)
+		dst = append(dst, slotRun{o: window{h: e*c.Stride - c.PadH, w: fw*c.Stride - c.PadW}, lo: slot, hi: hi})
+		slot = hi
+	}
+	return dst
+}
+
+// checkActBits panics unless every byte of the convolution's input fits
+// its staged width ab: the engine does not narrow activations
+// (Conv2D.ActBits).
+func checkActBits(c *nn.Conv2D, x *tensor.Quant, ab int) {
+	if ab >= 8 {
+		return
+	}
+	for i, v := range x.Data {
+		if v>>uint(ab) != 0 {
+			panic(fmt.Sprintf("core: %s input %#x at element %d exceeds ActBits=%d",
+				c.LayerName, v, i, ab))
+		}
+	}
 }
 
 func gcd(a, b int) int {

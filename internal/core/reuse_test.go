@@ -167,7 +167,8 @@ func TestPackedFiltersMatchPerGroupGather(t *testing.T) {
 		}
 		total := p.Out.Elems()
 		nGroups := (total + slotsPer - 1) / slotsPer
-		fi := packFilters(plan, c, p.Out, slotsPer, nGroups)
+		var fi filterImages
+		fi.pack(plan, c, p.Out, slotsPer, nGroups)
 		flat := make([]uint64, plan.ArraysPerConv*sram.BitLines)
 		want := make([]bitvec.Vec256, plan.WeightBits)
 		for g := 0; g < nGroups; g++ {

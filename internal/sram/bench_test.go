@@ -85,9 +85,9 @@ func BenchmarkWriteElements(b *testing.B) {
 }
 
 // The staging pair measures the word-packed element staging (plane
-// transpose kernels) against the bit-by-bit path it replaced; CI
-// publishes both side by side and fails if the packed path regresses
-// toward the bitwise one.
+// transpose kernels) against the bit-by-bit path it replaced, side by
+// side; TestPackedStagingOutrunsBitwise fails if the packed path
+// regresses toward the bitwise one.
 func BenchmarkStagingPacked(b *testing.B) {
 	var a Array
 	vals := make([]uint64, BitLines)

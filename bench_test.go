@@ -208,7 +208,9 @@ func BenchmarkConv2bCaseStudy(b *testing.B) {
 }
 
 // BenchmarkFunctionalSmallCNN measures a full bit-accurate in-cache
-// inference (every MAC as stepped microcode).
+// inference on one slice. Its arrays are healthy, so they run the fused
+// kernels; only fault-injected arrays step the microcode. A warm-up run
+// fills the System's cache pool first, as in BenchmarkRunFunctional.
 func BenchmarkFunctionalSmallCNN(b *testing.B) {
 	cfg := neuralcache.DefaultConfig()
 	cfg.Slices = 1
@@ -222,6 +224,9 @@ func BenchmarkFunctionalSmallCNN(b *testing.B) {
 	in := neuralcache.NewTensor(h, w, c, 1.0/255)
 	for i := range in.Data {
 		in.Data[i] = uint8(i * 7)
+	}
+	if _, err := sys.Run(m, in); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var res *neuralcache.InferenceResult
@@ -281,7 +286,8 @@ func BenchmarkRunFunctional(b *testing.B) {
 // dense and skip sub-benchmarks produce byte-identical outputs (locked
 // in by core.TestSkipZeroSlicesGoldenEquivalence); skip must report
 // strictly fewer array_cycles, and the skipped_slices metric documents
-// how much of the schedule was elided.
+// how much of the schedule was elided. Each sub-benchmark warms its
+// System's cache pool first, as in BenchmarkRunFunctional.
 func BenchmarkRunFunctionalSparse(b *testing.B) {
 	m := neuralcache.SparseCNN()
 	m.InitWeights(1)
@@ -300,6 +306,9 @@ func BenchmarkRunFunctionalSparse(b *testing.B) {
 			cfg.SkipZeroSlices = mode.skip
 			sys, err := neuralcache.New(cfg)
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.Run(m, in); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -322,6 +331,8 @@ func BenchmarkRunFunctionalSparse(b *testing.B) {
 // BenchmarkRunFunctionalParallel measures the multi-array path at the
 // default worker count (GOMAXPROCS): WideCNN's 512-lane convolution
 // spills across array pairs with interconnect-routed partial-sum reduce.
+// A warm-up run fills the System's cache pool first, as in
+// BenchmarkRunFunctional.
 func BenchmarkRunFunctionalParallel(b *testing.B) {
 	cfg := neuralcache.DefaultConfig()
 	cfg.Slices = 1
@@ -335,6 +346,9 @@ func BenchmarkRunFunctionalParallel(b *testing.B) {
 	in := neuralcache.NewTensor(h, w, c, 1.0/255)
 	for i := range in.Data {
 		in.Data[i] = uint8(i * 3)
+	}
+	if _, err := sys.Run(m, in); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var res *neuralcache.InferenceResult

@@ -89,9 +89,10 @@ func TestArrivalGenMixSchedule(t *testing.T) {
 		{At: 15 * time.Millisecond, Mix: []serve.ModelShare{{Model: "b", Weight: 1}}},
 	}
 	g, gm := base.traffic().Arrivals(), mixed.traffic().Arrivals()
+	names, namesm := base.traffic().Models(), mixed.traffic().Models()
 	for {
-		at, model, _, ok := g.Next()
-		atm, modelm, _, okm := gm.Next()
+		at, draw, _, ok := g.Next()
+		atm, drawm, _, okm := gm.Next()
 		if ok != okm {
 			t.Fatal("length diverged")
 		}
@@ -101,14 +102,14 @@ func TestArrivalGenMixSchedule(t *testing.T) {
 		if at != atm {
 			t.Fatalf("mix perturbed the schedule: %v vs %v", at, atm)
 		}
-		if model != "" {
+		if model := names[draw]; model != "" {
 			t.Fatalf("mixless load drew model %q", model)
 		}
 		want := "a"
 		if atm >= 15*time.Millisecond {
 			want = "b"
 		}
-		if modelm != want {
+		if modelm := namesm[drawm]; modelm != want {
 			t.Fatalf("arrival at %v drew %q, want %q", atm, modelm, want)
 		}
 	}

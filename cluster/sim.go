@@ -63,6 +63,7 @@ type sim struct {
 	models []*neuralcache.Model
 	names  []string
 	index  map[string]int
+	mix    []int // registry index of each Traffic.Models() name
 
 	nodes []*simNode
 
@@ -123,11 +124,14 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		s.index[m.Name()] = i
 		s.perModel = append(s.perModel, &modelStats{name: m.Name()})
 	}
-	// Resolve the whole mix timeline up front: unknown models fail fast.
+	// Resolve the whole mix timeline up front: unknown models fail fast,
+	// and arrivals need no lookup.
 	for _, name := range load.traffic().Models() {
-		if _, err := s.resolve(name); err != nil {
+		mi, err := s.resolve(name)
+		if err != nil {
 			return nil, err
 		}
+		s.mix = append(s.mix, mi)
 	}
 	for i, spec := range o.Nodes {
 		sys, err := spec.system()
@@ -179,16 +183,14 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 	for _, ev := range o.Events {
 		s.events.Push(node.Event{At: ev.At, Kind: node.Lifecycle, Node: ev.Node, Model: int(ev.Kind)})
 	}
-	if err := s.arrive(); err != nil {
-		return nil, err
-	}
+	s.arrive()
 	for s.events.Len() > 0 {
 		e := s.events.Pop()
 		s.timeline.advance(e.At, s)
 		s.now = e.At
 		switch e.Kind {
 		case node.Arrival:
-			err = s.onArrival(e)
+			s.onArrival(e)
 		case node.Completion:
 			err = s.onCompletion(e)
 		case node.Restage:
@@ -228,17 +230,10 @@ func (s *sim) resolve(name string) (int, error) {
 }
 
 // arrive pushes the generator's next arrival, if any.
-func (s *sim) arrive() error {
-	at, model, _, ok := s.gen.Next()
-	if !ok {
-		return nil
+func (s *sim) arrive() {
+	if at, draw, _, ok := s.gen.Next(); ok {
+		s.events.Push(node.Event{At: at, Kind: node.Arrival, Model: s.mix[draw]})
 	}
-	mi, err := s.resolve(model)
-	if err != nil {
-		return err
-	}
-	s.events.Push(node.Event{At: at, Kind: node.Arrival, Model: mi})
-	return nil
 }
 
 // planNode computes a residency plan for the node from the given
@@ -306,7 +301,7 @@ func (s *sim) views() []NodeView {
 	return views
 }
 
-func (s *sim) onArrival(e node.Event) error {
+func (s *sim) onArrival(e node.Event) {
 	mi := e.Model
 	st := s.perModel[mi]
 	s.offered++
@@ -339,7 +334,7 @@ func (s *sim) onArrival(e node.Event) error {
 			s.maxDepth = d
 		}
 	}
-	return s.arrive()
+	s.arrive()
 }
 
 func (s *sim) onCompletion(e node.Event) error {

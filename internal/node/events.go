@@ -22,7 +22,6 @@ const (
 // and keys (nil unless queued).
 type Event struct {
 	At                              time.Duration
-	seq                             uint64 // FIFO tiebreak among equal times
 	Kind, Node, Epoch, Model, Group int
 	User                            int
 	Key                             uint64
@@ -32,42 +31,81 @@ type Event struct {
 }
 
 // Events is a virtual clock's pending events: a binary min-heap on
-// (At, push order), holding events by value so pushing allocates
-// nothing once the heap has grown.
+// (At, push order). The heap sifts small pointer-free slots; the events
+// themselves stay put, by value, in a slab of fixed-size blocks whose
+// popped slots are cleared and reused. Growing the slab moves no event,
+// and pushing allocates nothing once the heap has grown.
 type Events struct {
-	h   []Event
-	seq uint64
+	h      []slot
+	blocks []*[eventBlock]Event // the slab
+	free   []int32              // vacant slab slots
+	seq    uint64
 }
+
+// eventBlock is the slab's unit of growth, in events: small, so a heap
+// that only ever holds a few events stays about as small as it is.
+const eventBlock = 8
+
+// slot is one heap entry: an event's time, its push ordinal (the FIFO
+// tiebreak among equal times) and its slab index.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	i   int32
+}
+
+func (s slot) before(o slot) bool {
+	if s.at != o.at {
+		return s.at < o.at
+	}
+	return s.seq < o.seq
+}
+
+// event returns slab slot i.
+func (q *Events) event(i int32) *Event { return &q.blocks[i/eventBlock][i%eventBlock] }
 
 // Len returns the number of pending events.
 func (q *Events) Len() int { return len(q.h) }
 
 // Push schedules e after every pending event with the same At.
 func (q *Events) Push(e Event) {
-	e.seq = q.seq
+	if len(q.free) == 0 {
+		base := int32(len(q.blocks) * eventBlock)
+		q.blocks = append(q.blocks, new([eventBlock]Event))
+		for j := int32(eventBlock - 1); j >= 0; j-- {
+			q.free = append(q.free, base+j)
+		}
+	}
+	i := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	*q.event(i) = e
+	s := slot{at: e.At, seq: q.seq, i: i}
 	q.seq++
-	q.h = append(q.h, e)
-	i := len(q.h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.before(&q.h[p]) {
+	q.h = append(q.h, s)
+	j := len(q.h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !s.before(q.h[p]) {
 			break
 		}
-		q.h[i] = q.h[p]
-		i = p
+		q.h[j] = q.h[p]
+		j = p
 	}
-	q.h[i] = e
+	q.h[j] = s
 }
 
 // Next returns the earliest pending event's time; the heap must not be
 // empty.
-func (q *Events) Next() time.Duration { return q.h[0].At }
+func (q *Events) Next() time.Duration { return q.h[0].at }
 
 // Pop removes and returns the earliest event.
 func (q *Events) Pop() Event {
 	top, n := q.h[0], len(q.h)-1
+	p := q.event(top.i)
+	e := *p
+	*p = Event{} // drop the batch slices for the collector
+	q.free = append(q.free, top.i)
 	last := q.h[n]
-	q.h[n] = Event{} // drop the batch slices for the collector
 	q.h = q.h[:n]
 	if n > 0 {
 		i := 0
@@ -76,10 +114,10 @@ func (q *Events) Pop() Event {
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && q.h[r].before(&q.h[c]) {
+			if r := c + 1; r < n && q.h[r].before(q.h[c]) {
 				c = r
 			}
-			if !q.h[c].before(&last) {
+			if !q.h[c].before(last) {
 				break
 			}
 			q.h[i] = q.h[c]
@@ -87,12 +125,5 @@ func (q *Events) Pop() Event {
 		}
 		q.h[i] = last
 	}
-	return top
-}
-
-func (e *Event) before(o *Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
-	}
-	return e.seq < o.seq
+	return e
 }

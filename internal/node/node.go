@@ -76,6 +76,9 @@ type Node struct {
 	drv    Driver
 
 	queues     []queue
+	arrivals   chunk[time.Duration] // batch copies for completion events
+	users      chunk[int]
+	keys       chunk[uint64]
 	depth      int
 	maxDepth   int
 	lastLinger time.Duration
@@ -101,6 +104,36 @@ type queue struct {
 }
 
 func (q *queue) len() int { return len(q.at) - q.head }
+
+// Block lengths of a chunk, in elements: each block doubles the last
+// from chunkMin up to chunkMax. Small blocks keep a short run's unused
+// tail small; chunkMax bounds it on long ones.
+const (
+	chunkMin = 32
+	chunkMax = 256
+)
+
+// chunk hands out copies of batch slices cut from blocks it allocates,
+// so a dispatch allocates nothing of its own. Each copy is capped by a
+// three-index slice: no copy shares storage with another or with the
+// queue it came from, and a block is collected once its last copy is.
+type chunk[T any] struct {
+	free []T // the current block's uncut tail
+	size int // the current block's length
+}
+
+// copy returns a copy of src, which must not be empty.
+func (c *chunk[T]) copy(src []T) []T {
+	n := len(src)
+	if len(c.free) < n {
+		c.size = min(max(2*c.size, chunkMin), chunkMax)
+		c.free = make([]T, max(c.size, n))
+	}
+	dst := c.free[:n:n]
+	c.free = c.free[n:]
+	copy(dst, src)
+	return dst
+}
 
 // New returns an idle node that pushes its events onto ev and reports
 // to drv.
@@ -243,17 +276,19 @@ func (n *Node) head(mi int) time.Duration {
 }
 
 // dispatch pops one batch of model mi onto the claimed group, schedules
-// its completion and feeds the drift controller.
+// its completion and feeds the drift controller. The completion event
+// carries the batch's arrivals, and its users and keys when queued, as
+// copies cut from the node's chunks.
 func (n *Node) dispatch(now time.Duration, mi, g int, warm bool) error {
 	q := &n.queues[mi]
 	k := min(q.len(), n.cfg.MaxBatch)
 	e := Event{Kind: Completion, Node: n.cfg.ID, Epoch: n.epoch, Model: mi, Group: g,
-		Arrivals: append([]time.Duration(nil), q.at[q.head:q.head+k]...)}
+		Arrivals: n.arrivals.copy(q.at[q.head : q.head+k])}
 	if n.cfg.Users {
-		e.Users = append([]int(nil), q.users[q.head:q.head+k]...)
+		e.Users = n.users.copy(q.users[q.head : q.head+k])
 	}
 	if n.cfg.Keys {
-		e.Keys = append([]uint64(nil), q.keys[q.head:q.head+k]...)
+		e.Keys = n.keys.copy(q.keys[q.head : q.head+k])
 	}
 	q.head += k
 	n.depth -= k

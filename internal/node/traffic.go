@@ -125,16 +125,11 @@ func validateMix(mix []ModelShare, what string) error {
 }
 
 // Models returns every model name the load can draw, in first-seen
-// order, so drivers can resolve them up front.
+// order, "" standing for the default model of an empty mix. Drivers
+// resolve them up front: generated arrivals name their model by its
+// index here.
 func (t Traffic) Models() []string {
-	var names []string
-	for _, epoch := range t.Mixes() {
-		for _, ms := range epoch.mix.mix {
-			if !slices.Contains(names, ms.Model) {
-				names = append(names, ms.Model)
-			}
-		}
-	}
+	names, _ := t.mixes()
 	return names
 }
 
@@ -152,38 +147,39 @@ func (t Traffic) Think(rng *rand.Rand) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// mixTable draws from a weighted mix by cumulative weight; the empty
-// mix always draws "" (the default model).
+// mixTable draws from a weighted mix by cumulative weight, yielding
+// the drawn model's index in Traffic.Models(); the empty mix always
+// draws the default model.
 type mixTable struct {
-	mix []ModelShare
-	cum []float64
+	models []int
+	cum    []float64
 }
 
-func newMixTable(mix []ModelShare) mixTable {
-	m := mixTable{mix: mix, cum: make([]float64, len(mix))}
+func newMixTable(mix []ModelShare, ordinal func(string) int) mixTable {
+	if len(mix) == 0 {
+		return mixTable{models: []int{ordinal("")}}
+	}
+	m := mixTable{models: make([]int, len(mix)), cum: make([]float64, len(mix))}
 	total := 0.0
 	for i, ms := range mix {
 		total += ms.Weight
-		m.cum[i] = total
+		m.models[i], m.cum[i] = ordinal(ms.Model), total
 	}
 	return m
 }
 
 // draw consults rng only when the mix has two entries or more.
-func (m mixTable) draw(rng *rand.Rand) string {
-	switch len(m.mix) {
-	case 0:
-		return ""
-	case 1:
-		return m.mix[0].Model
+func (m mixTable) draw(rng *rand.Rand) int {
+	if len(m.models) == 1 {
+		return m.models[0]
 	}
 	x := rng.Float64() * m.cum[len(m.cum)-1]
 	for i, c := range m.cum {
 		if x < c {
-			return m.mix[i].Model
+			return m.models[i]
 		}
 	}
-	return m.mix[len(m.mix)-1].Model
+	return m.models[len(m.models)-1]
 }
 
 // Mixes is a load's mix timeline: epoch 0 is the base mix from t = 0,
@@ -195,18 +191,33 @@ type Mixes []struct {
 
 // Mixes materializes the load's mix timeline.
 func (t Traffic) Mixes() Mixes {
-	m := make(Mixes, 1+len(t.MixSchedule))
-	m[0].mix = newMixTable(t.Mix)
-	for i, shift := range t.MixSchedule {
-		m[i+1].at, m[i+1].mix = shift.At, newMixTable(shift.Mix)
-	}
+	_, m := t.mixes()
 	return m
 }
 
-// Draw picks a model from the mix active at time at. Closed-loop
-// arrival times are not monotone across users, so it searches rather
-// than keeping a cursor.
-func (m Mixes) Draw(at time.Duration, rng *rand.Rand) string {
+// mixes builds the mix timeline and the model names its draws index.
+func (t Traffic) mixes() ([]string, Mixes) {
+	var names []string
+	ordinal := func(name string) int {
+		i := slices.Index(names, name)
+		if i < 0 {
+			i = len(names)
+			names = append(names, name)
+		}
+		return i
+	}
+	m := make(Mixes, 1+len(t.MixSchedule))
+	m[0].mix = newMixTable(t.Mix, ordinal)
+	for i, shift := range t.MixSchedule {
+		m[i+1].at, m[i+1].mix = shift.At, newMixTable(shift.Mix, ordinal)
+	}
+	return names, m
+}
+
+// Draw picks a model, as its index in Traffic.Models(), from the mix
+// active at time at. Closed-loop arrival times are not monotone across
+// users, so it searches rather than keeping a cursor.
+func (m Mixes) Draw(at time.Duration, rng *rand.Rand) int {
 	i := len(m) - 1
 	for i > 0 && m[i].at > at {
 		i--
@@ -215,7 +226,8 @@ func (m Mixes) Draw(at time.Duration, rng *rand.Rand) string {
 }
 
 // Gen yields a load's deterministic arrival sequence: offsets from
-// t = 0, each tagged with its mix-drawn model and its reuse key.
+// t = 0, each tagged with its mix-drawn model (an index in
+// Traffic.Models()) and its reuse key.
 type Gen struct {
 	t      Traffic
 	rng    *rand.Rand // interarrival and think draws (Poisson only)
@@ -248,11 +260,11 @@ func (t Traffic) Arrivals() *Gen {
 	return g
 }
 
-// Next returns the next open-loop arrival's offset, model ("" = the
-// default) and reuse key, or false when the load is exhausted.
-func (g *Gen) Next() (time.Duration, string, uint64, bool) {
+// Next returns the next open-loop arrival's offset, model (its index in
+// Traffic.Models()) and reuse key, or false when the load is exhausted.
+func (g *Gen) Next() (time.Duration, int, uint64, bool) {
 	if g.count++; g.t.Requests > 0 && g.count > g.t.Requests {
-		return 0, "", 0, false
+		return 0, 0, 0, false
 	}
 	i := len(g.rates) - 1 // the rate epoch of the previous arrival
 	for i > 0 && g.rates[i].At.Seconds() > g.at {
@@ -287,9 +299,9 @@ func (g *Gen) Next() (time.Duration, string, uint64, bool) {
 // after its completion at now, tagged like Next, or false when the
 // request or duration budget is spent. Draw order follows completion
 // order, which the virtual clock makes deterministic.
-func (g *Gen) NextClosed(now time.Duration) (time.Duration, string, uint64, bool) {
+func (g *Gen) NextClosed(now time.Duration) (time.Duration, int, uint64, bool) {
 	if g.count++; g.t.Requests > 0 && g.count > g.t.Requests {
-		return 0, "", 0, false
+		return 0, 0, 0, false
 	}
 	return g.tag(now + g.t.Think(g.rng))
 }
@@ -298,9 +310,9 @@ func (g *Gen) NextClosed(now time.Duration) (time.Duration, string, uint64, bool
 // the arrival's model from the mix active at its time and its reuse
 // key: Zipf over the universe under reuse, else the arrival ordinal —
 // every input distinct.
-func (g *Gen) tag(at time.Duration) (time.Duration, string, uint64, bool) {
+func (g *Gen) tag(at time.Duration) (time.Duration, int, uint64, bool) {
 	if g.t.Requests == 0 && at > g.t.Duration {
-		return 0, "", 0, false
+		return 0, 0, 0, false
 	}
 	key := uint64(g.count)
 	model := g.mixes.Draw(at, g.mixRNG)

@@ -8,22 +8,30 @@ import (
 	"neuralcache"
 )
 
+// overloadRun is BenchmarkServeSimulate's run: 100k Inception-scale
+// Poisson requests at twice the replica groups' capacity, behind a
+// queue deep enough to admit them all, with no front-cache.
+func overloadRun(tb testing.TB) (Backend, Options, Load) {
+	sys := newSystem(tb, 0)
+	backend := NewAnalyticBackend(sys, neuralcache.InceptionV3())
+	opts := Options{MaxBatch: 16, MaxLinger: time.Millisecond, QueueDepth: 1 << 20}
+	st, err := backend.ServiceTime("", opts.MaxBatch, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	load := Load{Rate: 2 * float64(sys.Replicas()*opts.MaxBatch) / st.Seconds(),
+		Requests: 100_000, Seed: 42, Poisson: true}
+	return backend, opts, load
+}
+
 // BenchmarkServeSimulate pushes 100k Inception-scale requests through
 // the virtual-clock scheduler per iteration and reports the simulated
 // serving metrics alongside the simulator's own speed.
 func BenchmarkServeSimulate(b *testing.B) {
-	sys := newSystem(b, 0)
-	m := neuralcache.InceptionV3()
-	backend := NewAnalyticBackend(sys, m)
-	opts := Options{MaxBatch: 16, MaxLinger: time.Millisecond, QueueDepth: 1 << 20}
-	st, err := backend.ServiceTime("", opts.MaxBatch, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	load := Load{Rate: 2 * float64(sys.Replicas()*opts.MaxBatch) / st.Seconds(),
-		Requests: 100_000, Seed: 42, Poisson: true}
+	backend, opts, load := overloadRun(b)
 	b.ResetTimer()
 	var rep *LoadReport
+	var err error
 	for i := 0; i < b.N; i++ {
 		rep, err = Simulate(backend, opts, load)
 		if err != nil {
@@ -99,5 +107,22 @@ func BenchmarkServeCacheInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.InsertKey("m", uint64(i))
+	}
+}
+
+// TestSimulateAllocations bounds BenchmarkServeSimulate's run at 1,000
+// allocations, 1% of its request count: a dispatch cuts its batch copy
+// from the node's chunks and the event heap reuses its slots, so no
+// request allocates on its own. The growing slices are what remains
+// (about 525 allocations, with or without -race).
+func TestSimulateAllocations(t *testing.T) {
+	backend, opts, load := overloadRun(t)
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Simulate(backend, opts, load); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 1000 {
+		t.Fatalf("Simulate of %d requests allocated %.0f times, want under 1000", load.Requests, allocs)
 	}
 }

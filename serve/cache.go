@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -82,16 +81,19 @@ func fnv1a(d uint64, p []byte) uint64 {
 	return d
 }
 
-// cacheKey identifies an entry: the model it was served on and the
-// input digest (for key-identified entries, the reuse key's digest).
-type cacheKey struct {
-	model  string
-	digest uint64
-}
+// nilSlot ends the cache's recency list.
+const nilSlot = -1
 
-// cacheEntry is one memoized result.
+// cacheEntry is one memoized result: a slot of the cache's slab,
+// linked into its recency list.
 type cacheEntry struct {
-	key cacheKey
+	// digest is the input digest (for key-identified entries, the reuse
+	// key's digest); model is the model's ordinal in Cache.names.
+	digest uint64
+	model  int32
+	// prev and next are the slots toward the list's front (more recent)
+	// and back; nilSlot past either end.
+	prev, next int32
 	// input is a copy of the tensor bytes for byte-identified entries,
 	// nil for key-identified ones (the simulator's reuse keys, where
 	// digest equality is identity). The lookup guard compares it before
@@ -110,31 +112,43 @@ type cacheEntry struct {
 // when their batch completes. All methods are safe for concurrent use;
 // on the simulator's virtual clock the cache is fully deterministic.
 //
+// The entries live in one slab, a slice linked into a recency list by
+// int32 indices. Once the slab reaches capacity, each new entry takes
+// the evicted one's slot, so an insert at capacity allocates nothing.
+// Each model has its own digest index, keyed by a bare uint64, and its
+// counters in a slice; a call resolves its model name to that ordinal
+// with one map lookup.
+//
 // Correctness invariant: a hit is only ever served after the exact-key
 // guard passes — digest equality plus byte equality of the stored
 // input — so an FNV collision can never return another input's output.
 type Cache struct {
 	capacity int
 
-	mu       sync.Mutex
-	lru      *list.List // of *cacheEntry; front = most recent
-	byKey    map[cacheKey]*list.Element
-	total    CacheStats
-	perModel map[string]*CacheStats
+	mu         sync.Mutex
+	entries    []cacheEntry // the slab; len is the live entry count
+	head, tail int32        // most and least recently used slots
+	total      CacheStats
+	// ordinals interns model names on first touch; names, index and
+	// perModel are by ordinal, index mapping digests to slots.
+	ordinals map[string]int32
+	names    []string
+	index    []map[uint64]int32
+	perModel []CacheStats
 }
 
 // NewCache builds a front-cache from the options (Capacity must be
 // positive). Both serving drivers construct their own from
 // Options.Cache; build one directly only to unit-test it.
 func NewCache(opts CacheOptions) (*Cache, error) {
-	if opts.Capacity <= 0 {
+	if opts.Capacity <= 0 || opts.Capacity > math.MaxInt32 {
 		return nil, fmt.Errorf("serve: cache capacity %d", opts.Capacity)
 	}
 	return &Cache{
 		capacity: opts.Capacity,
-		lru:      list.New(),
-		byKey:    make(map[cacheKey]*list.Element),
-		perModel: make(map[string]*CacheStats),
+		head:     nilSlot,
+		tail:     nilSlot,
+		ordinals: make(map[string]int32),
 	}, nil
 }
 
@@ -142,7 +156,7 @@ func NewCache(opts CacheOptions) (*Cache, error) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	return len(c.entries)
 }
 
 // Stats snapshots the whole-cache counters.
@@ -157,27 +171,30 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) ModelStats() map[string]CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]CacheStats, len(c.perModel))
-	for name, st := range c.perModel {
-		out[name] = *st
+	out := make(map[string]CacheStats, len(c.names))
+	for mi, name := range c.names {
+		out[name] = c.perModel[mi]
 	}
 	return out
 }
 
-// model returns the (lazily created) per-model counters; callers hold
-// mu.
-func (c *Cache) model(name string) *CacheStats {
-	st := c.perModel[name]
-	if st == nil {
-		st = &CacheStats{}
-		c.perModel[name] = st
+// model returns a model name's ordinal, interning it on first touch;
+// callers hold mu.
+func (c *Cache) model(name string) int32 {
+	mi, ok := c.ordinals[name]
+	if !ok {
+		mi = int32(len(c.names))
+		c.ordinals[name] = mi
+		c.names = append(c.names, name)
+		c.index = append(c.index, make(map[uint64]int32))
+		c.perModel = append(c.perModel, CacheStats{})
 	}
-	return st
+	return mi
 }
 
-// tensorKey keys a model's input tensor by its digest.
-func tensorKey(model string, in *neuralcache.Tensor) cacheKey {
-	return cacheKey{model: model, digest: digest(in.H, in.W, in.C, in.Scale, in.Data)}
+// tensorDigest digests an input tensor.
+func tensorDigest(in *neuralcache.Tensor) uint64 {
+	return digest(in.H, in.W, in.C, in.Scale, in.Data)
 }
 
 // Lookup probes the cache for a model's input tensor, serving the
@@ -185,10 +202,10 @@ func tensorKey(model string, in *neuralcache.Tensor) cacheKey {
 // memoize existence, not values). Misses are counted here, so every
 // admission-time probe contributes to the hit-rate accounting.
 func (c *Cache) Lookup(model string, in *neuralcache.Tensor) (*neuralcache.InferenceResult, bool) {
-	key := tensorKey(model, in)
+	d := tensorDigest(in)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.lookup(key, in.Data)
+	e := c.lookup(c.model(model), d, in.Data)
 	if e == nil {
 		return nil, false
 	}
@@ -199,11 +216,11 @@ func (c *Cache) Lookup(model string, in *neuralcache.Tensor) (*neuralcache.Infer
 // Inserting an input that is already cached refreshes it (recency and
 // output) without counting an insert.
 func (c *Cache) Insert(model string, in *neuralcache.Tensor, out *neuralcache.InferenceResult) {
-	key := tensorKey(model, in)
+	d := tensorDigest(in)
 	input := append([]byte(nil), in.Data...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(key, input, out)
+	c.insert(c.model(model), d, input, out)
 }
 
 // LookupKey is the virtual-clock driver's probe: the simulator
@@ -211,34 +228,30 @@ func (c *Cache) Insert(model string, in *neuralcache.Tensor, out *neuralcache.In
 // (Load.Reuse), so key equality is input identity and the byte guard is
 // vacuous.
 func (c *Cache) LookupKey(model string, key uint64) bool {
-	k := cacheKey{model: model, digest: digestKey(key)}
+	d := digestKey(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lookup(k, nil) != nil
+	return c.lookup(c.model(model), d, nil) != nil
 }
 
 // InsertKey memoizes a key-identified completion (virtual clock).
 func (c *Cache) InsertKey(model string, key uint64) {
-	k := cacheKey{model: model, digest: digestKey(key)}
+	d := digestKey(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(k, nil, nil)
+	c.insert(c.model(model), d, nil, nil)
 }
 
-// match applies the exact-key guard: same model and digest, and — for
-// byte-identified entries — byte-equal inputs.
-func (e *cacheEntry) match(key cacheKey, input []byte) bool {
-	return e.key == key && bytes.Equal(e.input, input)
-}
-
-// lookup finds a servable entry (nil on a miss), counting the hit or
-// miss and refreshing recency on a hit; callers hold mu.
-func (c *Cache) lookup(key cacheKey, input []byte) *cacheEntry {
-	st := c.model(key.model)
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.match(key, input) {
-			c.lru.MoveToFront(el)
+// lookup finds model mi's servable entry under digest d (nil on a
+// miss), counting the hit or miss and refreshing recency on a hit;
+// callers hold mu. The exact-key guard: the digest index matches model
+// and digest, and byte-identified entries must also hold equal input.
+func (c *Cache) lookup(mi int32, d uint64, input []byte) *cacheEntry {
+	st := &c.perModel[mi]
+	if i, ok := c.index[mi][d]; ok {
+		e := &c.entries[i]
+		if bytes.Equal(e.input, input) {
+			c.toFront(i)
 			c.total.Hits++
 			st.Hits++
 			return e
@@ -253,37 +266,78 @@ func (c *Cache) lookup(key cacheKey, input []byte) *cacheEntry {
 	return nil
 }
 
-// insert creates or refreshes an entry at the LRU front and evicts
-// beyond capacity; callers hold mu. input must be the caller's own copy
-// (or nil for key-identified entries).
-func (c *Cache) insert(key cacheKey, input []byte, out *neuralcache.InferenceResult) {
-	if el, ok := c.byKey[key]; ok {
+// insert creates or refreshes model mi's entry under digest d at the
+// LRU front, evicting the LRU entry beyond capacity; callers hold mu.
+// input must be the caller's own copy (or nil for key-identified
+// entries).
+func (c *Cache) insert(mi int32, d uint64, input []byte, out *neuralcache.InferenceResult) {
+	if i, ok := c.index[mi][d]; ok {
 		// Refresh. On the rare digest collision the newer input wins:
 		// the displaced input simply misses again — the guard never
 		// serves it the wrong output either way.
-		e := el.Value.(*cacheEntry)
+		e := &c.entries[i]
 		e.input = input
 		e.output = out
-		c.lru.MoveToFront(el)
+		c.toFront(i)
 		return
 	}
-	c.byKey[key] = c.lru.PushFront(&cacheEntry{key: key, input: input, output: out})
+	var i int32
+	if len(c.entries) < c.capacity {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, cacheEntry{})
+	} else {
+		i = c.evict()
+	}
+	c.entries[i] = cacheEntry{digest: d, model: mi, input: input, output: out}
+	c.pushFront(i)
+	c.index[mi][d] = i
 	c.total.Inserts++
-	c.model(key.model).Inserts++
-	for c.lru.Len() > c.capacity {
-		c.evict()
+	c.perModel[mi].Inserts++
+}
+
+// evict unlinks the least-recently-used entry and returns its slot for
+// reuse; callers hold mu and a full cache.
+func (c *Cache) evict() int32 {
+	i := c.tail
+	e := &c.entries[i]
+	c.unlink(i)
+	delete(c.index[e.model], e.digest)
+	c.total.Evictions++
+	c.perModel[e.model].Evictions++
+	return i
+}
+
+// toFront makes slot i the most recently used.
+func (c *Cache) toFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
-// evict removes the least-recently-used entry; callers hold mu.
-func (c *Cache) evict() {
-	el := c.lru.Back()
-	if el == nil {
-		return
+// pushFront links the unlinked slot i at the front of the list.
+func (c *Cache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = nilSlot, c.head
+	if c.head != nilSlot {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
 	}
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.byKey, e.key)
-	c.total.Evictions++
-	c.model(e.key.model).Evictions++
+	c.head = i
+}
+
+// unlink removes slot i from the list.
+func (c *Cache) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev != nilSlot {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nilSlot {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
 }

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"container/list"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"neuralcache"
@@ -150,14 +153,14 @@ func TestCacheGuardRefusesDigestCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := cacheKey{model: "m", digest: 0xc0111de}
+	const d = 0xc0111de
 	a, b := []byte{1, 2, 3, 4}, []byte{1, 2, 3, 5}
 	outA := &neuralcache.InferenceResult{ArraysUsed: 1}
 	outB := &neuralcache.InferenceResult{ArraysUsed: 2}
 	lookup := func(input []byte) *neuralcache.InferenceResult {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if e := c.lookup(key, input); e != nil {
+		if e := c.lookup(c.model("m"), d, input); e != nil {
 			return e.output
 		}
 		return nil
@@ -165,7 +168,7 @@ func TestCacheGuardRefusesDigestCollision(t *testing.T) {
 	insert := func(input []byte, out *neuralcache.InferenceResult) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.insert(key, append([]byte(nil), input...), out)
+		c.insert(c.model("m"), d, append([]byte(nil), input...), out)
 	}
 
 	insert(a, outA)
@@ -188,6 +191,35 @@ func TestCacheGuardRefusesDigestCollision(t *testing.T) {
 	want := CacheStats{Hits: 2, Misses: 2, Inserts: 1, NearHits: 2}
 	if st := c.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestCacheFullAllocatesNothing: at capacity an insert reuses the
+// evicted entry's slab slot and a probe touches only the digest index,
+// so neither allocates.
+func TestCacheFullAllocatesNothing(t *testing.T) {
+	const capacity = 96
+	c, err := NewCache(CacheOptions{Capacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < capacity; k++ {
+		c.InsertKey("m", k)
+	}
+	next := uint64(capacity)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.InsertKey("m", next) // evicts next-capacity
+		next++
+	}); allocs != 0 {
+		t.Errorf("InsertKey into a full cache allocated %v times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if !c.LookupKey("m", next-1) {
+			t.Fatal("the newest key missed")
+		}
+		c.LookupKey("m", 0) // long evicted
+	}); allocs != 0 {
+		t.Errorf("LookupKey allocated %v times per pair of probes", allocs)
 	}
 }
 
@@ -249,4 +281,190 @@ func TestCacheModelIsolation(t *testing.T) {
 	if ms["a"].Evictions != 1 || ms["b"].Evictions != 0 {
 		t.Fatalf("eviction charged wrong: a=%+v b=%+v", ms["a"], ms["b"])
 	}
+}
+
+// listCache is an LRU front-cache on container/list with one map keyed
+// by model name and digest: the reference FuzzCacheMatchesListLRU holds
+// Cache to. Its counters follow CacheStats' rules.
+type listCache struct {
+	capacity int
+	lru      *list.List // of *listEntry; front = most recent
+	byKey    map[listKey]*list.Element
+	total    CacheStats
+	perModel map[string]*CacheStats
+}
+
+type listKey struct {
+	model  string
+	digest uint64
+}
+
+type listEntry struct {
+	key    listKey
+	input  []byte
+	output *neuralcache.InferenceResult
+}
+
+func newListCache(capacity int) *listCache {
+	return &listCache{capacity: capacity, lru: list.New(),
+		byKey: make(map[listKey]*list.Element), perModel: make(map[string]*CacheStats)}
+}
+
+func (c *listCache) model(name string) *CacheStats {
+	st := c.perModel[name]
+	if st == nil {
+		st = &CacheStats{}
+		c.perModel[name] = st
+	}
+	return st
+}
+
+func (c *listCache) lookup(key listKey, input []byte) *listEntry {
+	st := c.model(key.model)
+	if el, ok := c.byKey[key]; ok {
+		e := el.Value.(*listEntry)
+		if e.key == key && bytes.Equal(e.input, input) {
+			c.lru.MoveToFront(el)
+			c.total.Hits++
+			st.Hits++
+			return e
+		}
+		c.total.NearHits++
+		st.NearHits++
+	}
+	c.total.Misses++
+	st.Misses++
+	return nil
+}
+
+func (c *listCache) insert(key listKey, input []byte, out *neuralcache.InferenceResult) {
+	if el, ok := c.byKey[key]; ok {
+		e := el.Value.(*listEntry)
+		e.input, e.output = input, out
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.byKey[key] = c.lru.PushFront(&listEntry{key: key, input: input, output: out})
+	c.total.Inserts++
+	c.model(key.model).Inserts++
+	for c.lru.Len() > c.capacity {
+		el := c.lru.Back()
+		e := el.Value.(*listEntry)
+		c.lru.Remove(el)
+		delete(c.byKey, e.key)
+		c.total.Evictions++
+		c.model(e.key.model).Evictions++
+	}
+}
+
+func (c *listCache) modelStats() map[string]CacheStats {
+	out := make(map[string]CacheStats, len(c.perModel))
+	for name, st := range c.perModel {
+		out[name] = *st
+	}
+	return out
+}
+
+// Operations FuzzCacheMatchesListLRU draws, one per three input bytes
+// (op, model, argument).
+const (
+	fuzzLookupKey = iota
+	fuzzInsertKey
+	fuzzLookup
+	fuzzInsert
+	fuzzLookupCollide // unexported path: every input on one digest
+	fuzzInsertCollide
+	fuzzOps
+)
+
+// fuzzCollideDigest is the one digest the collide operations share.
+const fuzzCollideDigest = 0xc0111de
+
+// FuzzCacheMatchesListLRU drives the slab-linked Cache and the
+// container/list reference through the same operations: capacity 1–8
+// from the first byte, then LookupKey, InsertKey, Lookup and Insert
+// over three models, twelve reuse keys and six tensors, plus lookups
+// and inserts that force three distinct inputs onto one digest. After
+// every operation both must agree on the hit, the served output
+// pointer, Len, Stats and ModelStats.
+func FuzzCacheMatchesListLRU(f *testing.F) {
+	models := []string{"a", "b", "c"}
+	outputs := make([]*neuralcache.InferenceResult, 4)
+	for i := range outputs {
+		outputs[i] = &neuralcache.InferenceResult{ArraysUsed: i + 1}
+	}
+	tensors := make([]*neuralcache.Tensor, 6)
+	for i := range tensors {
+		tensors[i] = &neuralcache.Tensor{H: 1, W: 1, C: 2, Scale: 1, Data: []byte{byte(i), byte(7 * i)}}
+	}
+	collide := [][]byte{{1, 2, 3, 4}, {1, 2, 3, 5}, {9}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := int(data[0]%8) + 1
+		c, err := NewCache(CacheOptions{Capacity: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newListCache(capacity)
+		for n, op := 0, data[1:]; len(op) >= 3; n, op = n+1, op[3:] {
+			model, arg := models[int(op[1])%len(models)], int(op[2])
+			out := outputs[arg/8%len(outputs)]
+			var got, want *neuralcache.InferenceResult
+			var gotHit, wantHit bool
+			switch kind := int(op[0]) % fuzzOps; kind {
+			case fuzzLookupKey:
+				key := uint64(arg % 12)
+				gotHit = c.LookupKey(model, key)
+				wantHit = ref.lookup(listKey{model, digestKey(key)}, nil) != nil
+			case fuzzInsertKey:
+				key := uint64(arg % 12)
+				c.InsertKey(model, key)
+				ref.insert(listKey{model, digestKey(key)}, nil, nil)
+			case fuzzLookup:
+				in := tensors[arg%len(tensors)]
+				got, gotHit = c.Lookup(model, in)
+				if e := ref.lookup(listKey{model, tensorDigest(in)}, in.Data); e != nil {
+					want, wantHit = e.output, true
+				}
+			case fuzzInsert:
+				in := tensors[arg%len(tensors)]
+				c.Insert(model, in, out)
+				ref.insert(listKey{model, tensorDigest(in)}, append([]byte(nil), in.Data...), out)
+			case fuzzLookupCollide, fuzzInsertCollide:
+				input := collide[arg%len(collide)]
+				c.mu.Lock()
+				if kind == fuzzLookupCollide {
+					if e := c.lookup(c.model(model), fuzzCollideDigest, input); e != nil {
+						got, gotHit = e.output, true
+					}
+				} else {
+					c.insert(c.model(model), fuzzCollideDigest, append([]byte(nil), input...), out)
+				}
+				c.mu.Unlock()
+				key := listKey{model, fuzzCollideDigest}
+				if kind == fuzzLookupCollide {
+					if e := ref.lookup(key, input); e != nil {
+						want, wantHit = e.output, true
+					}
+				} else {
+					ref.insert(key, append([]byte(nil), input...), out)
+				}
+			}
+			if gotHit != wantHit || got != want {
+				t.Fatalf("op %d %v: cache hit=%v output %p, reference hit=%v output %p",
+					n, op[:3], gotHit, got, wantHit, want)
+			}
+			if c.Len() != ref.lru.Len() {
+				t.Fatalf("op %d %v: Len %d, reference %d", n, op[:3], c.Len(), ref.lru.Len())
+			}
+			if got, want := c.Stats(), ref.total; got != want {
+				t.Fatalf("op %d %v: Stats %+v, reference %+v", n, op[:3], got, want)
+			}
+			if got, want := c.ModelStats(), ref.modelStats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d %v: ModelStats %+v, reference %+v", n, op[:3], got, want)
+			}
+		}
+	})
 }

@@ -194,12 +194,17 @@ func LoadTest(srv *Server, load Load, inputs func(i int, model string) *neuralca
 	if err := load.validate(); err != nil {
 		return nil, err
 	}
-	// Resolve every mix entry — including scheduled shifts — up front
-	// so unknown models fail fast.
-	for _, name := range load.traffic().Models() {
-		if _, err := srv.backend.Lookup(name); err != nil {
+	// Resolve every mix entry — including scheduled shifts — to its
+	// registered name up front, so unknown models fail fast and arrivals
+	// need no lookup. "" becomes the default model's name, so per-model
+	// accounting lines up with Response.Model.
+	models := load.traffic().Models()
+	for i, name := range models {
+		m, err := srv.backend.Lookup(name)
+		if err != nil {
 			return nil, err
 		}
+		models[i] = m.Name()
 	}
 	o := srv.Options()
 	if load.closed() && load.Concurrency > o.QueueDepth {
@@ -214,9 +219,9 @@ func LoadTest(srv *Server, load Load, inputs func(i int, model string) *neuralca
 	results := newLoadResults()
 	var err error
 	if load.closed() {
-		err = closedLoop(srv, load, inputs, results)
+		err = closedLoop(srv, load, models, inputs, results)
 	} else {
-		err = openLoop(srv, load, inputs, results)
+		err = openLoop(srv, load, models, inputs, results)
 	}
 	var timeline *obs.Timeline
 	if sampler != nil {
@@ -306,25 +311,20 @@ func LoadTest(srv *Server, load Load, inputs func(i int, model string) *neuralca
 
 // openLoop replays the open-loop schedule against the server in wall
 // clock: sleep to each generated arrival offset, TrySubmit (full queue =
-// counted rejection), collect completions asynchronously.
-func openLoop(srv *Server, load Load, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
+// counted rejection), collect completions asynchronously. models holds
+// the registered name of each Traffic.Models() entry.
+func openLoop(srv *Server, load Load, models []string, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
 	gen := load.traffic().Arrivals()
 	start := time.Now()
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for i := 0; ; i++ {
-		at, model, key, ok := gen.Next()
+		at, draw, key, ok := gen.Next()
 		if !ok {
 			return nil
 		}
-		// Canonicalize "" to the default model's registered name so
-		// per-model accounting lines up with Response.Model.
-		m, err := srv.backend.Lookup(model)
-		if err != nil {
-			return err
-		}
-		name := m.Name()
+		name := models[draw]
 		if d := time.Until(start.Add(at)); d > 0 {
 			time.Sleep(d)
 		}
@@ -359,8 +359,9 @@ func openLoop(srv *Server, load Load, inputs func(i int, model string) *neuralca
 // population cap, so nothing is rejected), wait for completion, repeat.
 // A shared atomic counter meters the Requests budget; Duration bounds
 // the submission window otherwise. Each user owns a seeded generator, so
-// the wall-clock run is as reproducible as real sleeps allow.
-func closedLoop(srv *Server, load Load, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
+// the wall-clock run is as reproducible as real sleeps allow. models is
+// as for openLoop.
+func closedLoop(srv *Server, load Load, models []string, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
 	mixes := load.traffic().Mixes()
 	start := time.Now()
 	var arrivals atomic.Int64
@@ -397,13 +398,7 @@ func closedLoop(srv *Server, load Load, inputs func(i int, model string) *neural
 				if load.Requests == 0 && time.Since(start) > load.Duration {
 					return
 				}
-				m, err := srv.backend.Lookup(mixes.Draw(time.Since(start), rng))
-				if err != nil {
-					failed.Store(true)
-					errs <- err
-					return
-				}
-				name := m.Name()
+				name := models[mixes.Draw(time.Since(start), rng)]
 				var in *neuralcache.Tensor
 				if inputs != nil {
 					if zipf != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -143,26 +143,27 @@ type LoadReport struct {
 // finish derives capacity, percentiles, histogram, utilization and the
 // per-model breakdown from the raw samples; shared by Simulate and
 // LoadTest. perModel maps model names to their latency samples and may
-// be nil. A zero window leaves throughput and utilization fields zero;
-// empty latencies leave percentiles zero and the histogram empty.
+// be nil. Both callers hand over samples they no longer need, which
+// finish sorts in place. A zero window leaves throughput and
+// utilization fields zero; empty latencies leave percentiles zero and
+// the histogram empty.
 func (r *LoadReport) finish(backend Backend, latencies []time.Duration, perModel map[string][]time.Duration, window time.Duration) error {
 	if err := r.capacity(backend); err != nil {
 		return err
 	}
-	sorted := append([]time.Duration(nil), latencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if len(sorted) > 0 {
-		r.P50 = percentile(sorted, 0.50)
-		r.P90 = percentile(sorted, 0.90)
-		r.P95 = percentile(sorted, 0.95)
-		r.P99 = percentile(sorted, 0.99)
-		r.Max = sorted[len(sorted)-1]
+	slices.Sort(latencies)
+	if len(latencies) > 0 {
+		r.P50 = percentile(latencies, 0.50)
+		r.P90 = percentile(latencies, 0.90)
+		r.P95 = percentile(latencies, 0.95)
+		r.P99 = percentile(latencies, 0.99)
+		r.Max = latencies[len(latencies)-1]
 	}
-	r.Histogram = histogram(sorted)
+	r.Histogram = histogram(latencies)
 	for i := range r.PerModel {
 		mu := &r.PerModel[i]
-		lat := append([]time.Duration(nil), perModel[mu.Model]...)
-		sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+		lat := perModel[mu.Model]
+		slices.Sort(lat)
 		if len(lat) > 0 {
 			mu.P50 = percentile(lat, 0.50)
 			mu.P95 = percentile(lat, 0.95)

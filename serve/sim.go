@@ -174,7 +174,7 @@ type sim struct {
 	now    time.Duration
 
 	models []*simModel
-	index  map[string]int
+	mix    []int // registry index of each Traffic.Models() name
 
 	tracer   *Tracer      // nil when tracing is off (emits are no-ops)
 	timeline *simTimeline // nil when timeline sampling is off
@@ -224,7 +224,6 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		opts:     o,
 		closed:   load.closed(),
 		gen:      load.traffic().Arrivals(),
-		index:    make(map[string]int, len(registered)),
 		shardUse: make([]ShardUsage, o.Replicas),
 	}
 	if o.Cache.Enabled() {
@@ -232,17 +231,25 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 			return nil, err
 		}
 	}
+	index := make(map[string]int, len(registered))
 	for i, m := range registered {
 		names[i] = m.Name()
 		s.models = append(s.models, &simModel{name: m.Name()})
-		s.index[m.Name()] = i
+		index[m.Name()] = i
 	}
 	// Resolve the mix — including every scheduled shift — against the
-	// registry up front so unknown models fail fast rather than mid-run.
+	// registry up front, so unknown models fail fast rather than mid-run
+	// and arrivals need no lookup.
 	for _, name := range load.traffic().Models() {
-		if _, err := s.resolve(name); err != nil {
+		m, err := backend.Lookup(name)
+		if err != nil {
 			return nil, err
 		}
+		mi, ok := index[m.Name()]
+		if !ok {
+			return nil, fmt.Errorf("serve: model %q not in backend registry", m.Name())
+		}
+		s.mix = append(s.mix, mi)
 	}
 	slices := backend.System().Config().Slices
 	for i := range s.shardUse {
@@ -289,12 +296,10 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		// Seed the user population: every user issues its first request
 		// from t = 0 (after an initial think when Rate > 0).
 		for u := 0; u < load.Concurrency; u++ {
-			if err := s.arrive(u, 0); err != nil {
-				return nil, err
-			}
+			s.arrive(u, 0)
 		}
-	} else if err := s.arrive(-1, 0); err != nil {
-		return nil, err
+	} else {
+		s.arrive(-1, 0)
 	}
 	for s.events.Len() > 0 {
 		e := s.events.Pop()
@@ -302,9 +307,9 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		s.now = e.At
 		switch e.Kind {
 		case node.Arrival:
-			err = s.onArrival(e)
+			s.onArrival(&e)
 		case node.Completion:
-			err = s.onCompletion(e)
+			err = s.onCompletion(&e)
 		case node.Restage:
 			err = s.node.Finish(s.now, e.Group)
 		}
@@ -322,39 +327,19 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 // next one for user -1, else the closed-loop user's next request, a
 // think time after from. A spent budget pushes nothing (retiring the
 // user).
-func (s *sim) arrive(user int, from time.Duration) error {
+func (s *sim) arrive(user int, from time.Duration) {
 	var at time.Duration
-	var model string
+	var draw int
 	var key uint64
 	var ok bool
 	if user < 0 {
-		at, model, key, ok = s.gen.Next()
+		at, draw, key, ok = s.gen.Next()
 	} else {
-		at, model, key, ok = s.gen.NextClosed(from)
+		at, draw, key, ok = s.gen.NextClosed(from)
 	}
-	if !ok {
-		return nil
+	if ok {
+		s.events.Push(node.Event{At: at, Kind: node.Arrival, Model: s.mix[draw], User: user, Key: key})
 	}
-	mi, err := s.resolve(model)
-	if err != nil {
-		return err
-	}
-	s.events.Push(node.Event{At: at, Kind: node.Arrival, Model: mi, User: user, Key: key})
-	return nil
-}
-
-// resolve maps a load-mix model name ("" = default) to its registry
-// index.
-func (s *sim) resolve(name string) (int, error) {
-	m, err := s.backend.Lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	mi, ok := s.index[m.Name()]
-	if !ok {
-		return 0, fmt.Errorf("serve: model %q not in backend registry", m.Name())
-	}
-	return mi, nil
 }
 
 // syncDepth integrates the queue depth up to the current virtual time;
@@ -364,7 +349,7 @@ func (s *sim) syncDepth(depth int) {
 	s.lastDepthT = s.now
 }
 
-func (s *sim) onArrival(e node.Event) error {
+func (s *sim) onArrival(e *node.Event) {
 	m := s.models[e.Model]
 	s.offered++
 	m.offered++
@@ -391,7 +376,7 @@ func (s *sim) onArrival(e node.Event) error {
 			ctrl.ObserveCacheHit(m.name, s.now)
 		}
 		if s.closed {
-			return s.arrive(e.User, done)
+			s.arrive(e.User, done)
 		}
 	case s.node.Depth() >= s.opts.QueueDepth:
 		// Unreachable closed-loop: concurrency is validated against the
@@ -403,13 +388,12 @@ func (s *sim) onArrival(e node.Event) error {
 		s.syncDepth(s.node.Depth())
 		s.node.Enqueue(e.Model, s.now, e.User, e.Key)
 	}
-	if s.closed {
-		return nil // the next arrival chains off this request's completion
+	if !s.closed {
+		s.arrive(-1, 0) // closed-loop arrivals chain off completions
 	}
-	return s.arrive(-1, 0)
 }
 
-func (s *sim) onCompletion(e node.Event) error {
+func (s *sim) onCompletion(e *node.Event) error {
 	if err := s.node.Finish(s.now, e.Group); err != nil {
 		return err
 	}
@@ -429,9 +413,7 @@ func (s *sim) onCompletion(e node.Event) error {
 	}
 	// Each finished user thinks, then submits its next request.
 	for _, u := range e.Users {
-		if err := s.arrive(u, s.now); err != nil {
-			return err
-		}
+		s.arrive(u, s.now)
 	}
 	return nil
 }

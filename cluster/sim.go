@@ -112,6 +112,8 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		names:  make([]string, len(models)),
 		index:  make(map[string]int, len(models)),
 		gen:    load.traffic().Arrivals(),
+		// At most one latency per arrival.
+		latencies: make([]time.Duration, 0, load.Requests),
 	}
 	for i, m := range models {
 		if m == nil {
@@ -419,12 +421,15 @@ func (s *sim) onLifecycle(e node.Event) error {
 	return nil
 }
 
-// Dispatched charges a batch to its node's occupancy and trace lane
-// (node.Driver).
+// Dispatched schedules a batch's completion and charges the batch to its
+// node's occupancy and trace lane (node.Driver).
 func (s *sim) Dispatched(nd *node.Node, b node.Batch) {
+	occupancy := b.Service + b.Reload
+	s.events.Push(node.Event{At: b.At + occupancy, Kind: node.Completion, Node: nd.ID(),
+		Epoch: nd.Epoch(), Model: b.Model, Group: b.Group, Arrivals: b.Arrivals})
 	n := s.nodes[nd.ID()]
-	n.busy += b.Service + b.Reload
-	n.winBusy += b.Service + b.Reload
+	n.busy += occupancy
+	n.winBusy += occupancy
 	s.tracer.batch(nd.ID(), b.Group, s.names[b.Model], b.Size, !b.Warm, nd.Batches, b.At, b.Service, b.Reload)
 }
 

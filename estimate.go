@@ -134,10 +134,7 @@ func (s *System) EstimateDensity(m *Model, batch int, density float64) (*Estimat
 }
 
 // EstimateReplicaGroupDensity is EstimateReplicaGroup with the MAC phase
-// discounted for a measured bit-column density (see EstimateDensity) —
-// the hook the serving tier uses to price observed weight sparsity into
-// per-group service times (serve.Server and serve.Simulate accept it via
-// their density knobs).
+// discounted for a measured bit-column density (see EstimateDensity).
 func (s *System) EstimateReplicaGroupDensity(m *Model, batch, k int, density float64) (*Estimate, error) {
 	sys, err := s.replicaGroup(k)
 	if err != nil {

@@ -2,7 +2,8 @@ package node
 
 import "time"
 
-// Event kinds of the virtual clock. Restage ends a planner weight
+// Event kinds of the virtual clock. Completion ends a batch, pushed by a
+// virtual-clock driver from Dispatched; Restage ends a planner weight
 // staging; Lifecycle is a driver's own change (a cluster node's kill,
 // drain or join), never pushed by a Node.
 const (

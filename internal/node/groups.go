@@ -55,7 +55,12 @@ func (t *Groups) Busy() int { return len(t.free) - t.nfree }
 // whether it already stages the model (warm); a cold claim stages it.
 // It returns -1 when no eligible group is free.
 func (t *Groups) Claim(model int) (id int, warm bool) {
-	if id, warm = t.pick(model); id >= 0 {
+	if t.pin == nil {
+		id, warm = pickShard(t.free, t.staged, model)
+	} else {
+		id, warm = pickPlanned(t.free, t.staged, t.pin, model)
+	}
+	if id >= 0 {
 		t.free[id] = false
 		t.nfree--
 		if !warm {
@@ -63,19 +68,6 @@ func (t *Groups) Claim(model int) (id int, warm bool) {
 		}
 	}
 	return id, warm
-}
-
-// Eligible reports whether some free group may serve the model now.
-func (t *Groups) Eligible(model int) bool {
-	id, _ := t.pick(model)
-	return id >= 0
-}
-
-func (t *Groups) pick(model int) (id int, warm bool) {
-	if t.pin == nil {
-		return pickShard(t.free, t.staged, model)
-	}
-	return pickPlanned(t.free, t.staged, t.pin, model)
 }
 
 // stage claims group g if it is free and stages the model's weights on

@@ -27,8 +27,9 @@ type Pricer interface {
 	ReloadTime(model string, groupSize int) (time.Duration, error)
 }
 
-// Driver is what a Node reports to. Dispatched follows each batch's
-// completion push, with the node's counters already including it.
+// Driver is what a Node reports to. Dispatched reports each batch, with
+// the node's counters already including it; a driver on a virtual clock
+// pushes the batch's Completion event there, before anything else.
 // Replanning precedes a re-plan's restages, before Replans counts it.
 // Restaged follows each staging's completion push; op.Cost is its
 // reload time.
@@ -39,28 +40,32 @@ type Driver interface {
 }
 
 // Batch is one dispatch at At: Size requests of Model, admitted at
-// Arrivals (oldest first), on Group.
+// Arrivals (oldest first), on Group. Users and Keys are the requests'
+// closed-loop users and reuse keys when the node queues them, else nil.
+// The slices are copies the driver may keep.
 type Batch struct {
 	Model, Group, Size  int
 	Warm                bool
 	At, Service, Reload time.Duration
 	Arrivals            []time.Duration
+	Users               []int
+	Keys                []uint64
 }
 
 // Config fixes a node's scheduling parameters. ID is stamped on its
 // events and Name prefixes its plan errors; model indices index Names.
-// Servable rejects plans that strand a model (see Servable). Users and
-// Keys queue each request's closed-loop user and reuse key for its
-// completion event. Drift reads the controller's drift for Replanning
-// (tracing).
+// Users and Keys queue each request's closed-loop user and reuse key
+// for its Batch. Drift reads the controller's drift for Replanning
+// (tracing). Every node rejects a plan that strands a model (see
+// Servable).
 type Config struct {
-	ID                           int
-	Name                         string
-	Names                        []string
-	Pricer                       Pricer
-	Groups, GroupSize, MaxBatch  int
-	Linger                       time.Duration
-	Servable, Users, Keys, Drift bool
+	ID                          int
+	Name                        string
+	Names                       []string
+	Pricer                      Pricer
+	Groups, GroupSize, MaxBatch int
+	Linger                      time.Duration
+	Users, Keys, Drift          bool
 }
 
 // Tally counts one model's warm and cold dispatches on a node.
@@ -76,7 +81,7 @@ type Node struct {
 	drv    Driver
 
 	queues     []queue
-	arrivals   chunk[time.Duration] // batch copies for completion events
+	arrivals   chunk[time.Duration] // batch copies for the driver
 	users      chunk[int]
 	keys       chunk[uint64]
 	depth      int
@@ -275,20 +280,20 @@ func (n *Node) head(mi int) time.Duration {
 	return q.at[q.head]
 }
 
-// dispatch pops one batch of model mi onto the claimed group, schedules
-// its completion and feeds the drift controller. The completion event
-// carries the batch's arrivals, and its users and keys when queued, as
-// copies cut from the node's chunks.
+// dispatch pops one batch of model mi onto the claimed group, reports
+// it to the driver and feeds the drift controller. The batch carries its
+// arrivals, and its users and keys when queued, as copies cut from the
+// node's chunks.
 func (n *Node) dispatch(now time.Duration, mi, g int, warm bool) error {
 	q := &n.queues[mi]
 	k := min(q.len(), n.cfg.MaxBatch)
-	e := Event{Kind: Completion, Node: n.cfg.ID, Epoch: n.epoch, Model: mi, Group: g,
+	b := Batch{Model: mi, Group: g, Size: k, Warm: warm, At: now,
 		Arrivals: n.arrivals.copy(q.at[q.head : q.head+k])}
 	if n.cfg.Users {
-		e.Users = n.users.copy(q.users[q.head : q.head+k])
+		b.Users = n.users.copy(q.users[q.head : q.head+k])
 	}
 	if n.cfg.Keys {
-		e.Keys = n.keys.copy(q.keys[q.head : q.head+k])
+		b.Keys = n.keys.copy(q.keys[q.head : q.head+k])
 	}
 	q.head += k
 	n.depth -= k
@@ -305,18 +310,15 @@ func (n *Node) dispatch(now time.Duration, mi, g int, warm bool) error {
 		q.head = 0
 	}
 	name := n.cfg.Names[mi]
-	st, err := n.cfg.Pricer.ServiceTime(name, k, n.cfg.GroupSize)
-	if err != nil {
+	var err error
+	if b.Service, err = n.cfg.Pricer.ServiceTime(name, k, n.cfg.GroupSize); err != nil {
 		return err
 	}
-	var rel time.Duration
 	if !warm {
-		if rel, err = n.cfg.Pricer.ReloadTime(name, n.cfg.GroupSize); err != nil {
+		if b.Reload, err = n.cfg.Pricer.ReloadTime(name, n.cfg.GroupSize); err != nil {
 			return err
 		}
 	}
-	e.At = now + st + rel
-	n.ev.Push(e)
 	n.Batches++
 	n.Batched += k
 	t := &n.Models[mi]
@@ -327,8 +329,7 @@ func (n *Node) dispatch(now time.Duration, mi, g int, warm bool) error {
 		n.Cold++
 		t.Cold++
 	}
-	n.drv.Dispatched(n, Batch{Model: mi, Group: g, Size: k, Warm: warm, At: now,
-		Service: st, Reload: rel, Arrivals: e.Arrivals})
+	n.drv.Dispatched(n, b)
 	if n.ctrl == nil {
 		return nil
 	}
@@ -368,10 +369,11 @@ func (n *Node) replan(now time.Duration, next *plan.Plan, restages []plan.Restag
 	return nil
 }
 
-// pins resolves and validates a plan for this node.
+// pins resolves a plan for this node and checks that it strands no
+// model.
 func (n *Node) pins(p *plan.Plan) ([]int, error) {
 	pin, err := Pins(p, n.cfg.Groups, n.cfg.Names)
-	if err == nil && n.cfg.Servable {
+	if err == nil {
 		err = Servable(pin, n.cfg.Names)
 	}
 	if err != nil {

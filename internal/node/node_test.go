@@ -3,6 +3,8 @@ package node
 import (
 	"testing"
 	"time"
+
+	"neuralcache/plan"
 )
 
 // flatPricer charges every batch 1 ms and every reload 10 ms.
@@ -91,5 +93,20 @@ func TestDispatchOrder(t *testing.T) {
 	}
 	if n.Warm+n.Cold != 7 || n.Batches != 7 {
 		t.Fatalf("%d warm + %d cold of %d batches, want 7", n.Warm, n.Cold, n.Batches)
+	}
+}
+
+// TestAdoptRefusesStrandingPlan: every node refuses a plan that leaves a
+// model neither a warm set nor an overflow group to serve from.
+func TestAdoptRefusesStrandingPlan(t *testing.T) {
+	var ev Events
+	n := New(Config{Name: "n", Names: []string{"a", "b"}, Pricer: flatPricer{}, Groups: 2,
+		GroupSize: 1, MaxBatch: 1}, &ev, &recorder{})
+	strands := &plan.Plan{GroupSize: 1, Groups: 2, Models: []plan.ModelPlan{{Model: "a", Groups: []int{0, 1}}, {Model: "b"}}}
+	if err := n.Adopt(0, strands, nil); err == nil {
+		t.Fatal("node adopted a plan that strands model b")
+	}
+	if n.Plan() != nil || ev.Len() != 0 {
+		t.Fatalf("refused plan left plan %v and %d events", n.Plan(), ev.Len())
 	}
 }

@@ -133,10 +133,10 @@ func (t Traffic) Models() []string {
 	return names
 }
 
-// Think draws one closed-loop think time: mean 1/Rate, exponential when
+// think draws one closed-loop think time: mean 1/Rate, exponential when
 // Poisson, constant otherwise; zero when Rate is 0 (rng is only
 // consulted under Poisson).
-func (t Traffic) Think(rng *rand.Rand) time.Duration {
+func (t Traffic) think(rng *rand.Rand) time.Duration {
 	if t.Rate <= 0 {
 		return 0
 	}
@@ -182,21 +182,15 @@ func (m mixTable) draw(rng *rand.Rand) int {
 	return m.models[len(m.models)-1]
 }
 
-// Mixes is a load's mix timeline: epoch 0 is the base mix from t = 0,
-// each MixShift opens the next.
-type Mixes []struct {
+// mixTimeline is a load's mix timeline: epoch 0 is the base mix from
+// t = 0, each MixShift opens the next.
+type mixTimeline []struct {
 	at  time.Duration
 	mix mixTable
 }
 
-// Mixes materializes the load's mix timeline.
-func (t Traffic) Mixes() Mixes {
-	_, m := t.mixes()
-	return m
-}
-
 // mixes builds the mix timeline and the model names its draws index.
-func (t Traffic) mixes() ([]string, Mixes) {
+func (t Traffic) mixes() ([]string, mixTimeline) {
 	var names []string
 	ordinal := func(name string) int {
 		i := slices.Index(names, name)
@@ -206,7 +200,7 @@ func (t Traffic) mixes() ([]string, Mixes) {
 		}
 		return i
 	}
-	m := make(Mixes, 1+len(t.MixSchedule))
+	m := make(mixTimeline, 1+len(t.MixSchedule))
 	m[0].mix = newMixTable(t.Mix, ordinal)
 	for i, shift := range t.MixSchedule {
 		m[i+1].at, m[i+1].mix = shift.At, newMixTable(shift.Mix, ordinal)
@@ -214,10 +208,10 @@ func (t Traffic) mixes() ([]string, Mixes) {
 	return names, m
 }
 
-// Draw picks a model, as its index in Traffic.Models(), from the mix
+// draw picks a model, as its index in Traffic.Models(), from the mix
 // active at time at. Closed-loop arrival times are not monotone across
 // users, so it searches rather than keeping a cursor.
-func (m Mixes) Draw(at time.Duration, rng *rand.Rand) int {
+func (m mixTimeline) draw(at time.Duration, rng *rand.Rand) int {
 	i := len(m) - 1
 	for i > 0 && m[i].at > at {
 		i--
@@ -233,7 +227,7 @@ type Gen struct {
 	rng    *rand.Rand // interarrival and think draws (Poisson only)
 	mixRNG *rand.Rand // model draws, independent of arrival times
 	zipf   *rand.Zipf // reuse-key draws (Universe > 0 only)
-	mixes  Mixes
+	mixes  mixTimeline
 	rates  []RateShift // rate timeline; entry 0 is Rate from t = 0
 	count  int
 	at     float64 // seconds: the latest arrival
@@ -246,7 +240,8 @@ type Gen struct {
 
 // Arrivals starts the load's arrival generator.
 func (t Traffic) Arrivals() *Gen {
-	g := &Gen{t: t, mixes: t.Mixes(), rates: append([]RateShift{{Rate: t.Rate}}, t.RateSchedule...)}
+	_, mixes := t.mixes()
+	g := &Gen{t: t, mixes: mixes, rates: append([]RateShift{{Rate: t.Rate}}, t.RateSchedule...)}
 	if t.Poisson {
 		g.rng = rand.New(rand.NewSource(t.Seed))
 	}
@@ -303,7 +298,7 @@ func (g *Gen) NextClosed(now time.Duration) (time.Duration, int, uint64, bool) {
 	if g.count++; g.t.Requests > 0 && g.count > g.t.Requests {
 		return 0, 0, 0, false
 	}
-	return g.tag(now + g.t.Think(g.rng))
+	return g.tag(now + g.t.think(g.rng))
 }
 
 // tag ends a Duration-bounded load past its window, and otherwise draws
@@ -315,7 +310,7 @@ func (g *Gen) tag(at time.Duration) (time.Duration, int, uint64, bool) {
 		return 0, 0, 0, false
 	}
 	key := uint64(g.count)
-	model := g.mixes.Draw(at, g.mixRNG)
+	model := g.mixes.draw(at, g.mixRNG)
 	if g.zipf != nil {
 		key = g.zipf.Uint64()
 	}

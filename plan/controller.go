@@ -91,17 +91,9 @@ type Controller struct {
 	opts    Options
 	current *Plan
 
-	counts []float64 // decayed per-model served-request mass
-	// hitCounts is the decayed per-model front-cache-hit mass, aged on
-	// the same clock. counts is dispatch-fed — already the miss-only
-	// mix the warm sets should serve — so hits are tracked separately:
-	// HitRates (hits over hits+misses) is what feeds
-	// Options.CacheHitRate when re-running Compute/CoSelect, never a
-	// second discount on counts.
-	hitCounts  []float64
+	counts     []float64 // decayed per-model served-request mass
 	lastObs    time.Duration
 	lastReplan time.Duration
-	replans    int
 }
 
 // NewController builds a controller around an active plan. models must
@@ -122,13 +114,12 @@ func NewController(sys *neuralcache.System, models []*neuralcache.Model, current
 		return nil, fmt.Errorf("plan: controller got %d models for a %d-model plan", len(models), len(current.Models))
 	}
 	ctrl := &Controller{
-		pr:        newPricer(sys),
-		models:    models,
-		index:     make(map[string]int, len(models)),
-		cfg:       c,
-		current:   current,
-		counts:    make([]float64, len(models)),
-		hitCounts: make([]float64, len(models)),
+		pr:      newPricer(sys),
+		models:  models,
+		index:   make(map[string]int, len(models)),
+		cfg:     c,
+		current: current,
+		counts:  make([]float64, len(models)),
 	}
 	for i, m := range models {
 		if m == nil || m.Name() != current.Models[i].Model {
@@ -145,20 +136,6 @@ func NewController(sys *neuralcache.System, models []*neuralcache.Model, current
 	return ctrl, nil
 }
 
-// Plan returns the currently active plan.
-func (c *Controller) Plan() *Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.current
-}
-
-// Replans returns how many re-plans the controller has applied.
-func (c *Controller) Replans() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replans
-}
-
 // Observe feeds one dispatch of n requests of a model into the
 // served-mix EWMA at clock time now. Unknown model names are ignored.
 func (c *Controller) Observe(model string, n int, now time.Duration) {
@@ -172,52 +149,7 @@ func (c *Controller) Observe(model string, n int, now time.Duration) {
 	c.counts[i] += float64(n)
 }
 
-// ObserveCacheHit feeds one front-cache hit of a model into the
-// hit-rate EWMA at clock time now. Hits are absorbed before dispatch,
-// so they deliberately do not touch the served-mix counts — those stay
-// the miss-only mix the warm sets actually serve. Unknown model names
-// are ignored.
-func (c *Controller) ObserveCacheHit(model string, now time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i, ok := c.index[model]
-	if !ok {
-		return
-	}
-	c.decay(now)
-	c.hitCounts[i]++
-}
-
-// HitRates returns each model's observed front-cache hit rate —
-// decayed hit mass over hit-plus-dispatch mass, in the plan's model
-// order — or nil when no hits have been observed. This is the feed for
-// Options.CacheHitRate when recomputing a plan: the dispatch-fed
-// served-mix counts are already miss-only, so applying the discount to
-// them again would double-count the cache. Read-only like Drift
-// (uniform decay cannot change a ratio).
-func (c *Controller) HitRates() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	any := false
-	for _, h := range c.hitCounts {
-		if h > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	out := make(map[string]float64, len(c.models))
-	for i, m := range c.models {
-		if total := c.hitCounts[i] + c.counts[i]; total > 0 {
-			out[m.Name()] = c.hitCounts[i] / total
-		}
-	}
-	return out
-}
-
-// decay ages the EWMAs to clock time now; callers hold mu.
+// decay ages the EWMA to clock time now; callers hold mu.
 func (c *Controller) decay(now time.Duration) {
 	if now <= c.lastObs {
 		return
@@ -225,7 +157,6 @@ func (c *Controller) decay(now time.Duration) {
 	f := math.Exp2(-float64(now-c.lastObs) / float64(c.cfg.HalfLife))
 	for i := range c.counts {
 		c.counts[i] *= f
-		c.hitCounts[i] *= f
 	}
 	c.lastObs = now
 }
@@ -307,7 +238,6 @@ func (c *Controller) MaybeReplan(now time.Duration) (*Plan, []Restage, bool) {
 	}
 	c.current = next
 	c.lastReplan = now
-	c.replans++
 	return next, ops, true
 }
 

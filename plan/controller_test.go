@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -78,8 +77,9 @@ func TestControllerReplanOnDrift(t *testing.T) {
 			t.Fatalf("restage op %+v", op)
 		}
 	}
-	if ctrl.Replans() != 1 || ctrl.Plan() != next {
-		t.Fatalf("replans %d, plan swapped %v", ctrl.Replans(), ctrl.Plan() == next)
+	// The re-plan rebases the reference mix on the observed one.
+	if d := ctrl.Drift(); d > 1e-9 {
+		t.Fatalf("drift %v right after the re-plan, want 0 against the new plan", d)
 	}
 	// The damper blocks an immediate second replan even at high drift.
 	ctrl.Observe("inception_v3", 100, now)
@@ -248,53 +248,5 @@ func TestControllerObserved(t *testing.T) {
 	}
 	if got := ctrl.Drift(); got != d {
 		t.Fatalf("repeated reads moved drift: %v -> %v", d, got)
-	}
-}
-
-// TestControllerHitRatesEdgeCases pins HitRates at its boundaries: nil
-// on zero traffic and on miss-only traffic, a per-model map once hits
-// land (no entry for a model without traffic), exactly 1 under all-hit
-// traffic, and finite values everywhere — a decayed-to-tiny EWMA must
-// never divide its way to NaN.
-func TestControllerHitRatesEdgeCases(t *testing.T) {
-	// Zero traffic: no mass at all.
-	ctrl, _ := driftPlan(t)
-	if got := ctrl.HitRates(); got != nil {
-		t.Fatalf("HitRates on an empty EWMA = %v, want nil", got)
-	}
-	// Misses only: traffic exists but no hit mass, still nil.
-	ctrl.Observe("inception_v3", 8, time.Second)
-	if got := ctrl.HitRates(); got != nil {
-		t.Fatalf("HitRates with no hits = %v, want nil", got)
-	}
-	// Single-model traffic on a two-model plan: one entry, no zero-total
-	// division for the silent model.
-	ctrl.ObserveCacheHit("inception_v3", time.Second)
-	hr := ctrl.HitRates()
-	if len(hr) != 1 {
-		t.Fatalf("HitRates = %v, want inception only", hr)
-	}
-	if got := hr["inception_v3"]; got <= 0 || got >= 1 || math.IsNaN(got) {
-		t.Fatalf("hit rate %v, want 1/9", got)
-	}
-	if _, ok := hr["resnet_18"]; ok {
-		t.Fatalf("HitRates invented an entry for traffic-free resnet: %v", hr)
-	}
-	// All-hits traffic: the rate is exactly 1, not NaN, even after the
-	// EWMA has decayed the mass to a sliver.
-	ctrl2, _ := driftPlan(t)
-	ctrl2.ObserveCacheHit("resnet_18", 0)
-	ctrl2.ObserveCacheHit("resnet_18", 0)
-	// A hit 100 half-lives later decays the prior mass to a sliver
-	// before landing.
-	ctrl2.ObserveCacheHit("resnet_18", 100*time.Second)
-	hr = ctrl2.HitRates()
-	if got := hr["resnet_18"]; got != 1 || math.IsNaN(got) {
-		t.Fatalf("all-hit rate = %v, want exactly 1", got)
-	}
-	for m, v := range hr {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("model %s hit rate %v", m, v)
-		}
 	}
 }

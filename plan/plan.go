@@ -81,14 +81,6 @@ type Options struct {
 	// GroupSizes is the candidate set CoSelect searches; nil means
 	// every divisor of the system's slice count (System.GroupSizes).
 	GroupSizes []int
-	// CacheHitRate is each model's front-cache hit rate (in [0, 1)),
-	// typically Controller.HitRates or a serve report's observed rates.
-	// Cache-absorbed traffic never reaches a replica group, so the
-	// planner discounts each model's mix weight by its miss fraction
-	// (1 − hit rate) and scales RatePerSec by the surviving share —
-	// warm sets are sized on the miss traffic only. Models absent from
-	// the map are undiscounted; nil applies no discount.
-	CacheHitRate map[string]float64
 }
 
 // withDefaults fills zero fields and validates against the system.
@@ -109,18 +101,6 @@ func (o Options) withDefaults(sys *neuralcache.System) (Options, error) {
 		return o, fmt.Errorf("plan: %d overflow groups", o.Overflow)
 	case math.IsNaN(o.RatePerSec) || math.IsInf(o.RatePerSec, 0) || o.RatePerSec < 0:
 		return o, fmt.Errorf("plan: rate %v", o.RatePerSec)
-	}
-	// Sorted iteration so a map with several bad rates always reports
-	// the same one.
-	names := make([]string, 0, len(o.CacheHitRate))
-	for name := range o.CacheHitRate {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if h := o.CacheHitRate[name]; math.IsNaN(h) || h < 0 || h >= 1 {
-			return o, fmt.Errorf("plan: cache hit rate %v for model %q (want [0, 1))", h, name)
-		}
 	}
 	return o, nil
 }
@@ -385,14 +365,6 @@ func Compute(sys *neuralcache.System, models []*neuralcache.Model, mix []Share, 
 	if err != nil {
 		return nil, err
 	}
-	if len(o.CacheHitRate) > 0 {
-		// Cache-absorbed traffic is a mix discount: warm sets serve the
-		// miss traffic only, so each weight scales by its miss fraction
-		// and the offered rate by the total surviving share.
-		var survive float64
-		weights, survive = discountMiss(models, weights, o.CacheHitRate)
-		o.RatePerSec *= survive
-	}
 	total := sys.Replicas() / o.GroupSize
 	if o.Overflow >= total {
 		return nil, fmt.Errorf("plan: %d overflow groups leave nothing to pin (%d groups of %d slices)",
@@ -415,25 +387,6 @@ func Compute(sys *neuralcache.System, models []*neuralcache.Model, mix []Share, 
 		overflow = append(overflow, next)
 	}
 	return build(newPricer(sys), models, weights, assign, overflow, total, o)
-}
-
-// discountMiss scales each normalized mix weight by its model's miss
-// fraction (1 − hit rate) and renormalizes. survive is the fraction of
-// total offered traffic that misses the cache — the factor the offered
-// rate shrinks by. Validation bounds every rate below 1, so survive is
-// positive whenever the weights were.
-func discountMiss(models []*neuralcache.Model, weights []float64, hitRate map[string]float64) (out []float64, survive float64) {
-	out = make([]float64, len(weights))
-	for i, m := range models {
-		out[i] = weights[i] * (1 - hitRate[m.Name()])
-		survive += out[i]
-	}
-	if survive > 0 {
-		for i := range out {
-			out[i] /= survive
-		}
-	}
-	return out, survive
 }
 
 // build assembles a Plan from a finished group assignment, pricing the

@@ -65,9 +65,6 @@ type serviceClock struct {
 	mu      sync.Mutex
 	svc     map[svcKey]time.Duration
 	reloads map[reloadKey]time.Duration
-	// density holds per-model measured bit-column densities
-	// (SetSliceDensity); absent means 1 (dense pricing).
-	density map[string]float64
 }
 
 type svcKey struct {
@@ -87,7 +84,6 @@ func newServiceClock(sys *neuralcache.System, first *neuralcache.Model, more []*
 		byName:  make(map[string]*neuralcache.Model),
 		svc:     make(map[svcKey]time.Duration),
 		reloads: make(map[reloadKey]time.Duration),
-		density: make(map[string]float64),
 	}
 	for _, m := range append([]*neuralcache.Model{first}, more...) {
 		if m == nil {
@@ -134,11 +130,7 @@ func (c *serviceClock) ServiceTime(model string, n, groupSize int) (time.Duratio
 	if d, ok := c.svc[key]; ok {
 		return d, nil
 	}
-	density := 1.0
-	if d, ok := c.density[m.Name()]; ok {
-		density = d
-	}
-	est, err := c.sys.EstimateReplicaGroupDensity(m, n, groupSize, density)
+	est, err := c.sys.EstimateReplicaGroup(m, n, groupSize)
 	if err != nil {
 		return 0, err
 	}
@@ -148,37 +140,6 @@ func (c *serviceClock) ServiceTime(model string, n, groupSize int) (time.Duratio
 	}
 	c.svc[key] = d
 	return d, nil
-}
-
-// SetSliceDensity prices the named model's future service times at a
-// measured multiplier bit-column density — the
-// InferenceResult.SliceDensity a Config.SkipZeroSlices run reports
-// (System.EstimateDensity documents the discount). density must lie in
-// (0, 1]; 1 restores dense pricing. Memoized service times for the
-// model are invalidated, so in-flight dispatches keep the duration they
-// were priced at while every later dispatch uses the new density.
-// Reload times are weight-streaming costs and are unaffected.
-func (c *serviceClock) SetSliceDensity(model string, density float64) error {
-	if density <= 0 || density > 1 {
-		return fmt.Errorf("serve: slice density %g outside (0, 1]", density)
-	}
-	m, err := c.Lookup(model)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if density == 1 {
-		delete(c.density, m.Name())
-	} else {
-		c.density[m.Name()] = density
-	}
-	for k := range c.svc {
-		if k.model == m.Name() {
-			delete(c.svc, k)
-		}
-	}
-	return nil
 }
 
 func (c *serviceClock) ReloadTime(model string, groupSize int) (time.Duration, error) {

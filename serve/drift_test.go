@@ -2,8 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
+
+	"neuralcache"
+	"neuralcache/plan"
 )
 
 // TestDriftPlannedBeatsReactive: on the drift scenario (driftRun) the
@@ -107,5 +111,59 @@ func TestDriftTraceMatchesReport(t *testing.T) {
 	}
 	if reloads == 0 {
 		t.Error("cold batches carry no reload sub-spans")
+	}
+}
+
+// TestCachedDriftRun covers a front-cache in front of a re-planning
+// node, sim-node's setup at test scale: Inception-v3/ResNet-18 traffic
+// at 0.8/0.2 that inverts halfway, a plan.CoSelect plan at the offered
+// rate with a 0.15 re-plan threshold, and 96 cache entries against
+// Zipf(1.1) reuse over 4,096 inputs. The report must repeat exactly,
+// at any engine worker count, and conserve requests, probes and
+// dispatches, with hits and at least one re-plan.
+func TestCachedDriftRun(t *testing.T) {
+	const rate, requests = 600.0, 6000
+	mix := func(w float64) []ModelShare {
+		return []ModelShare{{Model: "inception_v3", Weight: w}, {Model: "resnet_18", Weight: 1 - w}}
+	}
+	half := time.Duration(requests / rate / 2 * float64(time.Second))
+	load := Load{Rate: rate, Requests: requests, Seed: 1, Poisson: true,
+		Mix: mix(0.8), MixSchedule: []MixShift{{At: half, Mix: mix(0.2)}},
+		Reuse: Reuse{ZipfS: 1.1, Universe: 4096}}
+	run := func(workers int) *LoadReport {
+		t.Helper()
+		sys := newSystem(t, workers)
+		models := []*neuralcache.Model{neuralcache.InceptionV3(), neuralcache.ResNet18()}
+		p, err := plan.CoSelect(sys, models, planShares(0.8, 0.2), plan.Options{MaxBatch: 8, RatePerSec: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Simulate(NewAnalyticBackend(sys, models[0], models[1]), Options{
+			MaxBatch: 8, MaxLinger: 5 * time.Millisecond, Plan: p,
+			Replan: plan.ControllerConfig{Threshold: 0.15}, Cache: CacheOptions{Capacity: 96},
+		}, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rep := run(1)
+	if again := run(1); !reflect.DeepEqual(again, rep) {
+		t.Fatal("the same run gave two reports")
+	}
+	if wide := run(4); !reflect.DeepEqual(wide, rep) {
+		t.Fatal("Workers 4 changed the report")
+	}
+	if rep.Offered != requests || rep.Offered != rep.Served+rep.Rejected {
+		t.Errorf("offered %d, served %d + rejected %d", rep.Offered, rep.Served, rep.Rejected)
+	}
+	if rep.CacheHits+rep.CacheMisses != rep.Offered {
+		t.Errorf("hits %d + misses %d != offered %d", rep.CacheHits, rep.CacheMisses, rep.Offered)
+	}
+	if rep.WarmDispatches+rep.ColdDispatches != rep.Batches {
+		t.Errorf("warm %d + cold %d != batches %d", rep.WarmDispatches, rep.ColdDispatches, rep.Batches)
+	}
+	if rep.CacheHits == 0 || rep.Replans < 1 {
+		t.Errorf("%d hits, %d replans; want hits and at least one re-plan", rep.CacheHits, rep.Replans)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -354,58 +353,45 @@ func openLoop(srv *Server, load Load, models []string, inputs func(i int, model 
 }
 
 // closedLoop runs Load.Concurrency user goroutines against the server,
-// each keeping exactly one request in flight: think (Traffic.Think), draw a
-// model from the mix, Submit (blocking — admission control is the
-// population cap, so nothing is rejected), wait for completion, repeat.
-// A shared atomic counter meters the Requests budget; Duration bounds
-// the submission window otherwise. Each user owns a seeded generator, so
-// the wall-clock run is as reproducible as real sleeps allow. models is
-// as for openLoop.
+// each keeping exactly one request in flight: draw its next arrival from
+// the load's generator as Simulate does (NextClosed: a think time after
+// the user's last completion, the model and the reuse key), sleep to
+// it, Submit (blocking — admission control is the population cap, so
+// nothing is rejected), wait for completion, repeat. The generator
+// meters the Requests budget and the Duration window, and users draw
+// from it under a mutex in completion order, so the wall-clock run is
+// as reproducible as real sleeps allow. models is as for openLoop.
 func closedLoop(srv *Server, load Load, models []string, inputs func(i int, model string) *neuralcache.Tensor, results *loadResults) error {
-	mixes := load.traffic().Mixes()
+	gen := load.traffic().Arrivals()
+	var genMu sync.Mutex
 	start := time.Now()
-	var arrivals atomic.Int64
 	var failed atomic.Bool
 	errs := make(chan error, load.Concurrency)
 	var wg sync.WaitGroup
 	ctx := context.Background()
 	for u := 0; u < load.Concurrency; u++ {
 		wg.Add(1)
-		go func(user int) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(load.Seed + 0x636c6f73 + int64(user)))
-			var zipf *rand.Zipf
-			if load.Reuse.Enabled() {
-				zipf = rand.NewZipf(rng, load.Reuse.ZipfS, 1, uint64(load.Reuse.Universe-1))
-			}
-			for {
-				// One user's failure ends the whole run (matching the
-				// open-loop driver's first-error abort) instead of the
-				// surviving users burning the remaining budget.
-				if failed.Load() {
+			// One user's failure ends the whole run (matching the
+			// open-loop driver's first-error abort) instead of the
+			// surviving users burning the remaining budget.
+			for !failed.Load() {
+				genMu.Lock()
+				at, draw, key, ok := gen.NextClosed(time.Since(start))
+				genMu.Unlock()
+				if !ok {
 					return
 				}
-				// Take the budget ticket before thinking — the sim's
-				// NextClosed order — so spent budgets end the run without
-				// one last dead think sleep per user.
-				n := arrivals.Add(1)
-				if load.Requests > 0 && n > int64(load.Requests) {
-					return
-				}
-				if d := load.traffic().Think(rng); d > 0 {
-					time.Sleep(d)
-				}
-				if load.Requests == 0 && time.Since(start) > load.Duration {
-					return
-				}
-				name := models[mixes.Draw(time.Since(start), rng)]
+				time.Sleep(time.Until(start.Add(at)))
+				name := models[draw]
 				var in *neuralcache.Tensor
 				if inputs != nil {
-					if zipf != nil {
-						in = inputs(int(zipf.Uint64()), name)
-					} else {
-						in = inputs(int(n-1), name)
+					i := int(key) - 1 // without reuse, the key is the 1-based arrival ordinal
+					if load.Reuse.Enabled() {
+						i = int(key)
 					}
+					in = inputs(i, name)
 				}
 				results.arrival(name, time.Now())
 				r, err := srv.SubmitModel(ctx, name, in)
@@ -419,7 +405,7 @@ func closedLoop(srv *Server, load Load, models []string, inputs func(i int, mode
 				}
 				results.done(r)
 			}
-		}(u)
+		}()
 	}
 	wg.Wait()
 	select {

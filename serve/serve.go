@@ -65,9 +65,8 @@
 // against the stored input guards every hit, so a digest collision can
 // never serve a wrong output. Load.Reuse generates Zipf-repeated
 // traffic to exercise it, LoadReport carries hit/miss/eviction
-// counters, and plan.Options.CacheHitRate lets the planner size warm
-// sets on the residual miss mix. SweepCache answers "what hit rate
-// turns the cache into free capacity".
+// counters, and SweepCache answers "what hit rate turns the cache into
+// free capacity".
 //
 // Two backends implement the Backend interface:
 //

@@ -166,7 +166,6 @@ func NewServer(backend Backend, opts Options) (*Server, error) {
 	}
 	s.node = node.New(node.Config{
 		Name:      "serve",
-		Servable:  true,
 		Names:     s.names,
 		Pricer:    backend,
 		Groups:    o.Replicas,
@@ -198,10 +197,10 @@ func (s *Server) now() time.Duration { return time.Since(s.started) }
 
 // schedule brings the node up to the wall clock: restages that are due
 // end, the node dispatches whatever is ready, and the timer is re-armed
-// for the earliest pending event. Due Linger and Completion events need
-// only the dispatch; a Completion carries its priced time, the executor
-// reports the real one, and it is popped only to keep the heap bounded.
-// Callers hold mu.
+// for the earliest pending event. The heap holds only Linger and
+// Restage events, and a due Linger needs only the dispatch: batches
+// complete when their executor reports, not at a priced time. Callers
+// hold mu.
 //
 // The node's errors are dropped. Pricing cannot fail once NewServer has
 // priced every model, and a re-plan the node refuses keeps the old pins
@@ -560,13 +559,8 @@ func (s *Server) probe(mi int, in *neuralcache.Tensor) (chan *Response, error) {
 	s.served++
 	s.models[mi].Served++
 	s.models[mi].CacheHits++
-	ctrl := s.node.Controller()
 	s.mu.Unlock()
-	at := s.now()
-	s.tracer.cacheHit(name, at)
-	if ctrl != nil {
-		ctrl.ObserveCacheHit(name, at)
-	}
+	s.tracer.cacheHit(name, s.now())
 	ch := make(chan *Response, 1)
 	ch <- resp
 	return ch, nil

@@ -157,6 +157,43 @@ func TestServerDispatchesAsTheNode(t *testing.T) {
 	}
 }
 
+// hourBackend prices every batch at an hour, far past the test's end.
+type hourBackend struct{ *scriptBackend }
+
+func (hourBackend) ServiceTime(string, int, int) (time.Duration, error) { return time.Hour, nil }
+
+// TestServerArmsNoTimerPerBatch: a batch completes when its executor
+// reports, so a NoLinger, unplanned Server schedules nothing for it —
+// while the batch runs, the event heap is empty and no timer is armed.
+func TestServerArmsNoTimerPerBatch(t *testing.T) {
+	backend := &scriptBackend{
+		AnalyticBackend: NewAnalyticBackend(newSystem(t, 1), neuralcache.SmallCNN()),
+		started:         make(chan *scriptCall, 1),
+		stop:            make(chan struct{}),
+	}
+	srv, err := NewServer(hourBackend{backend}, Options{MaxBatch: 2, MaxLinger: NoLinger, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	defer close(backend.stop)
+	ch, err := srv.TrySubmit(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := within(t, backend.started, "execution")
+	srv.mu.Lock()
+	pending, armed := srv.events.Len(), srv.armed
+	srv.mu.Unlock()
+	if pending != 0 || armed {
+		t.Fatalf("%d events pending, timer armed %v while the batch runs; want none", pending, armed)
+	}
+	close(call.release)
+	if r := within(t, ch, "response"); r.Err != nil || r.BatchSize != 1 {
+		t.Fatalf("response %+v", r)
+	}
+}
+
 // settleGoroutines fails the test unless the goroutine count falls back
 // to base within 1 s.
 func settleGoroutines(t *testing.T, base int) {

@@ -225,6 +225,8 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		closed:   load.closed(),
 		gen:      load.traffic().Arrivals(),
 		shardUse: make([]ShardUsage, o.Replicas),
+		// At most one latency per arrival.
+		latencies: make([]time.Duration, 0, load.Requests),
 	}
 	if o.Cache.Enabled() {
 		if s.cache, err = NewCache(o.Cache); err != nil {
@@ -270,7 +272,6 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 	}
 	s.node = node.New(node.Config{
 		Name:      "serve",
-		Servable:  true,
 		Names:     names,
 		Pricer:    backend,
 		Groups:    o.Replicas,
@@ -372,9 +373,6 @@ func (s *sim) onArrival(e *node.Event) {
 			s.lastCompletion = done
 		}
 		s.tracer.cacheHit(m.name, s.now)
-		if ctrl := s.node.Controller(); ctrl != nil {
-			ctrl.ObserveCacheHit(m.name, s.now)
-		}
 		if s.closed {
 			s.arrive(e.User, done)
 		}
@@ -418,11 +416,13 @@ func (s *sim) onCompletion(e *node.Event) error {
 	return nil
 }
 
-// Dispatched charges a batch to its group's usage, trace lanes and
-// timeline (node.Driver).
+// Dispatched schedules a batch's completion and charges the batch to
+// its group's usage, trace lanes and timeline (node.Driver).
 func (s *sim) Dispatched(n *node.Node, b node.Batch) {
-	s.syncDepth(n.Depth() + b.Size)
 	occupancy := b.Service + b.Reload
+	s.events.Push(node.Event{At: b.At + occupancy, Kind: node.Completion, Model: b.Model, Group: b.Group,
+		Arrivals: b.Arrivals, Users: b.Users, Keys: b.Keys})
+	s.syncDepth(n.Depth() + b.Size)
 	u := &s.shardUse[b.Group]
 	u.Batches++
 	u.Requests += b.Size

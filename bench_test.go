@@ -1,6 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§V–§VI), plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark regenerates its experiment through
+// evaluation (§V–§VI), plus ablation benches for the design choices of
+// §IV (packing, bank latch, transpose gateway, batched output dump, bit
+// width). Each benchmark regenerates its experiment through
 // the simulator and reports the reproduced quantities as custom metrics,
 // so `go test -bench=. -benchmem` prints the full reproduction next to
 // its timing.
@@ -382,7 +383,7 @@ func BenchmarkResNet18Estimate(b *testing.B) {
 	b.ReportMetric(rep.Throughput(), "infps")
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations of the §IV design choices ---
 
 func estimateWith(b *testing.B, mutate func(*core.Config)) float64 {
 	b.Helper()

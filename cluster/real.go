@@ -70,7 +70,9 @@ func New(router Router, members ...Member) (*Cluster, error) {
 	return c, nil
 }
 
-// views snapshots the members for one routing decision.
+// views snapshots the members for one routing decision, in a slice of
+// its own: SubmitModel runs concurrently, so the slice cluster.Simulate
+// reuses across arrivals would race here.
 func (c *Cluster) views() []NodeView {
 	views := make([]NodeView, len(c.nodes))
 	for i, n := range c.nodes {

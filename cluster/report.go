@@ -198,7 +198,8 @@ func (s *sim) report() (*Report, error) {
 		makespan = 0
 	}
 	r.Makespan = makespan
-	for _, n := range s.nodes {
+	perModel, perNode := s.latencies.Split(len(s.perModel), len(s.nodes))
+	for ni, n := range s.nodes {
 		nr := NodeReport{
 			Node:           n.spec.Name,
 			Sockets:        n.spec.Sockets,
@@ -227,9 +228,10 @@ func (s *sim) report() (*Report, error) {
 		if makespan > 0 {
 			nr.Utilization = n.busy.Seconds() / (makespan.Seconds() * float64(n.spec.Replicas))
 		}
-		slices.Sort(n.latencies)
-		nr.P50 = percentile(n.latencies, 50)
-		nr.P99 = percentile(n.latencies, 99)
+		lat := perNode[ni]
+		slices.Sort(lat)
+		nr.P50 = percentile(lat, 50)
+		nr.P99 = percentile(lat, 99)
 		r.Nodes = append(r.Nodes, nr)
 		r.Batches += n.Batches
 		r.WarmDispatches += n.Warm
@@ -250,12 +252,13 @@ func (s *sim) report() (*Report, error) {
 	if makespan > 0 {
 		r.ThroughputPerSec = float64(s.served) / makespan.Seconds()
 	}
-	slices.Sort(s.latencies)
-	r.P50 = percentile(s.latencies, 50)
-	r.P90 = percentile(s.latencies, 90)
-	r.P99 = percentile(s.latencies, 99)
-	if len(s.latencies) > 0 {
-		r.Max = s.latencies[len(s.latencies)-1]
+	all := s.latencies.All
+	slices.Sort(all)
+	r.P50 = percentile(all, 50)
+	r.P90 = percentile(all, 90)
+	r.P99 = percentile(all, 99)
+	if len(all) > 0 {
+		r.Max = all[len(all)-1]
 	}
 	for mi, st := range s.perModel {
 		if st.offered == 0 && st.served == 0 && st.rejected == 0 && st.lost == 0 {
@@ -276,9 +279,10 @@ func (s *sim) report() (*Report, error) {
 				mu.NodesServed++
 			}
 		}
-		slices.Sort(st.latencies)
-		mu.P50 = percentile(st.latencies, 50)
-		mu.P99 = percentile(st.latencies, 99)
+		lat := perModel[mi]
+		slices.Sort(lat)
+		mu.P50 = percentile(lat, 50)
+		mu.P99 = percentile(lat, 99)
 		r.PerModel = append(r.PerModel, mu)
 	}
 	if s.timeline != nil {

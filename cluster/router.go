@@ -8,8 +8,9 @@ import (
 )
 
 // NodeView is the read-only state a Router sees for one node at routing
-// time. Views are rebuilt for every decision, so a router never holds a
-// stale snapshot.
+// time. Views are refreshed for every decision, and the slice holding
+// them is valid only during Pick: the simulator reuses it for the next
+// arrival, so a router must copy what it keeps.
 type NodeView struct {
 	// Index is the node's ordinal in the cluster's node list — the value
 	// Pick returns to route there.
@@ -46,7 +47,8 @@ func (v NodeView) load() float64 {
 // chosen view's Index, or -1 when no accepting node exists. Routers
 // must be deterministic given their construction (a seeded generator is
 // fine: the virtual-clock simulator calls Pick in a deterministic event
-// order) and safe for concurrent use by the wall-clock Cluster.
+// order) and safe for concurrent use by the wall-clock Cluster. Pick
+// must not keep views, or modify them, after it returns.
 type Router interface {
 	// Name identifies the policy in reports ("least-loaded",
 	// "affinity", "p2c").

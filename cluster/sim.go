@@ -44,7 +44,6 @@ type simNode struct {
 	routed, served, rejected, lost int
 	servedPerModel                 []int
 	busy, winBusy                  time.Duration
-	latencies                      []time.Duration
 }
 
 // modelStats is one model's fleet-level admission accounting; its
@@ -52,7 +51,6 @@ type simNode struct {
 type modelStats struct {
 	name                            string
 	offered, served, rejected, lost int
-	latencies                       []time.Duration
 }
 
 // sim is the state of one cluster.Simulate run.
@@ -66,6 +64,7 @@ type sim struct {
 	mix    []int // registry index of each Traffic.Models() name
 
 	nodes []*simNode
+	view  []NodeView // one per node, refreshed for every routing decision
 
 	events node.Events
 	now    time.Duration
@@ -82,7 +81,7 @@ type sim struct {
 	lost                         int
 	maxDepth                     int
 	firstArrival, lastCompletion time.Duration
-	latencies                    []time.Duration
+	latencies                    node.Latencies
 
 	initialMix []plan.Share
 	planRate   float64
@@ -112,8 +111,9 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		names:  make([]string, len(models)),
 		index:  make(map[string]int, len(models)),
 		gen:    load.traffic().Arrivals(),
+		view:   make([]NodeView, len(o.Nodes)),
 		// At most one latency per arrival.
-		latencies: make([]time.Duration, 0, load.Requests),
+		latencies: node.NewLatencies(load.Requests, true),
 	}
 	for i, m := range models {
 		if m == nil {
@@ -286,11 +286,11 @@ func (s *sim) queued() int {
 	return d
 }
 
-// views snapshots every node for a routing decision.
+// views refreshes the run's one view slice for a routing decision; the
+// router may read it only during Pick.
 func (s *sim) views() []NodeView {
-	views := make([]NodeView, len(s.nodes))
 	for i, n := range s.nodes {
-		views[i] = NodeView{
+		s.view[i] = NodeView{
 			Index:      i,
 			Name:       n.spec.Name,
 			Accepting:  n.state == stateLive,
@@ -300,7 +300,7 @@ func (s *sim) views() []NodeView {
 			Groups:     n.spec.Replicas,
 		}
 	}
-	return views
+	return s.view
 }
 
 func (s *sim) onArrival(e node.Event) {
@@ -362,10 +362,7 @@ func (s *sim) onCompletion(e node.Event) error {
 		s.lastCompletion = s.now
 	}
 	for _, at := range e.Arrivals {
-		lat := s.now - at
-		s.latencies = append(s.latencies, lat)
-		n.latencies = append(n.latencies, lat)
-		st.latencies = append(st.latencies, lat)
+		s.latencies.Add(s.now-at, e.Model, e.Node)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func main() {
 		fig16     = flag.Bool("fig16", false, "Figure 16: throughput vs batch")
 		micro     = flag.Bool("micro", false, "§III arithmetic micro-results")
 		caseStudy = flag.Bool("casestudy", false, "§VI-A Conv2D_2b case study")
-		ablations = flag.Bool("ablations", false, "design-choice ablations (DESIGN.md §5)")
+		ablations = flag.Bool("ablations", false, "ablations of the §IV design choices")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()

@@ -51,15 +51,17 @@ func newEstimate(rep *core.Report) *Estimate {
 		EnergyJ:          rep.TotalEnergyJ(),
 		AvgPowerW:        rep.AveragePowerWatts(),
 		DRAMEnergyJ:      rep.DRAMEnergyJ,
+		Phases:           make([]PhaseTiming, len(rep.Seconds)),
+		Layers:           make([]LayerTiming, len(rep.Layers)),
 	}
-	for _, p := range core.Phases() {
-		out.Phases = append(out.Phases, PhaseTiming{Phase: p.String(), Seconds: rep.Seconds[p]})
+	for p, sec := range rep.Seconds {
+		out.Phases[p] = PhaseTiming{Phase: core.Phase(p).String(), Seconds: sec}
 	}
-	for _, l := range rep.Layers {
-		out.Layers = append(out.Layers, LayerTiming{
+	for i, l := range rep.Layers {
+		out.Layers[i] = LayerTiming{
 			Name: l.Name, Seconds: l.Seconds.Total(),
 			SerialIters: l.SerialIters, Utilization: l.Utilization,
-		})
+		}
 	}
 	return out
 }
@@ -200,8 +202,8 @@ func (e *Estimate) Phase(name string) float64 {
 	return 0
 }
 
-// Baseline is a comparison device (the paper's measured CPU or GPU,
-// substituted by a calibrated analytical model — DESIGN.md §4).
+// Baseline is a comparison device: the paper's measured CPU or GPU,
+// substituted by an analytical model calibrated to its measurements.
 type Baseline struct {
 	dev baseline.Device
 }

@@ -4,13 +4,12 @@
 // TensorFlow Inception v3 inference.
 //
 // The paper *measured* these baselines; we have neither testbed, so this
-// package is an analytical substitution (DESIGN.md §4): a per-layer
+// package is an analytical substitution: a per-layer
 // roofline model (compute-bound vs memory-bound) whose global efficiency
 // is calibrated so the batch-1 total equals the paper's measurement, plus
 // a saturating batching curve anchored at the paper's measured batch-1
 // and peak throughputs. Per-layer *shape* comes from the roofline;
-// absolute totals come from the calibration anchors, and EXPERIMENTS.md
-// labels them as such.
+// absolute totals come from the calibration anchors.
 package baseline
 
 import (

@@ -42,43 +42,46 @@ func (s *System) EstimateDensity(net *nn.Network, batch int, density float64) (*
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := s.cfg
-	rep := &Report{Model: net.Name, BatchSize: batch, Sockets: cfg.Sockets}
+	cfg := &s.cfg
+	rep := &Report{Model: net.Name, BatchSize: batch, Sockets: cfg.Sockets,
+		Layers: make([]LayerReport, len(net.Layers))}
+	// Flatten emits leaves in top-level order, so one cursor walks them
+	// alongside the layers.
 	placed := net.Flatten()
+	next := 0
 
 	var traffic interconnect.Traffic
 	ioCapacity := cfg.Geometry.IOWayBytesPerSlice() * cfg.Geometry.Slices
 
+	in := net.Input
 	for gi, top := range net.Layers {
-		lr := LayerReport{Name: top.Name()}
-		for _, p := range placed {
-			if p.GroupIdx != gi {
-				continue
-			}
+		lr := &rep.Layers[gi]
+		lr.Name = top.Name()
+		for ; next < len(placed) && placed[next].GroupIdx == gi; next++ {
+			p := placed[next]
 			switch l := p.Layer.(type) {
 			case *nn.Conv2D:
-				if err := s.convCost(&lr, rep, &traffic, p, gi == 0, batch, density); err != nil {
+				if err := s.convCost(lr, rep, &traffic, p, gi == 0, batch, density); err != nil {
 					return nil, err
 				}
 			case *nn.Pool:
-				if err := s.poolCost(&lr, rep, &traffic, p, batch); err != nil {
+				if err := s.poolCost(lr, rep, &traffic, p, batch); err != nil {
 					return nil, err
 				}
 			case *nn.BatchNorm:
-				s.batchNormCost(&lr, rep, &traffic, p, batch)
+				s.batchNormCost(lr, rep, &traffic, p, batch)
 			default:
 				return nil, fmt.Errorf("core: no cost model for layer type %T", l)
 			}
 		}
 		// Residual shortcut adds: element-wise realign + add + requantize
 		// for every Residual container in this top-level layer.
-		s.residualCombineCosts(&lr, rep, &traffic, top, placedInputShape(net, gi), batch)
+		s.residualCombineCosts(lr, rep, &traffic, top, in, batch)
 
 		// Batched output staging: what does not fit the reserved ways is
 		// dumped to DRAM and reloaded for the next layer (§IV-E).
-		outShape := top.OutShape(placedInputShape(net, gi))
-		outBytes := outShape.Elems()
-		if spill := batch*outBytes - ioCapacity; spill > 0 {
+		in = top.OutShape(in)
+		if spill := batch*in.Elems() - ioCapacity; spill > 0 {
 			// The dump is a contiguous stream (peak bandwidth); the reload
 			// is the same set-strided walk as filter loading (effective
 			// bandwidth).
@@ -87,7 +90,6 @@ func (s *System) EstimateDensity(net *nn.Network, batch int, density float64) (*
 			rep.Ledger.DRAMBytes += uint64(2 * spill)
 		}
 		rep.Seconds.Add(lr.Seconds)
-		rep.Layers = append(rep.Layers, lr)
 	}
 
 	rep.Ledger.BusBytes += traffic.BusBytes
@@ -110,17 +112,9 @@ func repeatBus(fabric interconnect.Config, traffic *interconnect.Traffic, n, byt
 	return uint64(n) * cycles
 }
 
-func placedInputShape(net *nn.Network, gi int) tensor.Shape {
-	sh := net.Input
-	for i := 0; i < gi; i++ {
-		sh = net.Layers[i].OutShape(sh)
-	}
-	return sh
-}
-
 func (s *System) convCost(lr *LayerReport, rep *Report, traffic *interconnect.Traffic,
 	p nn.Placed, firstLayer bool, batch int, density float64) error {
-	cfg := s.cfg
+	cfg := &s.cfg
 	plan, err := mapping.PlanConv(cfg.Mapping, p)
 	if err != nil {
 		return err
@@ -238,7 +232,7 @@ func (s *System) residualCombineCosts(lr *LayerReport, rep *Report, traffic *int
 
 func (s *System) elementwiseCombineCost(lr *LayerReport, rep *Report, traffic *interconnect.Traffic,
 	elems, batch int) {
-	cfg := s.cfg
+	cfg := &s.cfg
 	cost := cfg.Cost
 	lanes := cfg.Geometry.ComputeArrays() * sram.BitLines
 	iters := (elems + lanes - 1) / lanes
@@ -259,7 +253,7 @@ func (s *System) elementwiseCombineCost(lr *LayerReport, rep *Report, traffic *i
 // convolution's.
 func (s *System) batchNormCost(lr *LayerReport, rep *Report, traffic *interconnect.Traffic,
 	p nn.Placed, batch int) {
-	cfg := s.cfg
+	cfg := &s.cfg
 	cost := cfg.Cost
 	slices := cfg.Geometry.Slices
 	total := p.Out.Elems()
@@ -288,7 +282,7 @@ func (s *System) batchNormCost(lr *LayerReport, rep *Report, traffic *interconne
 
 func (s *System) poolCost(lr *LayerReport, rep *Report, traffic *interconnect.Traffic,
 	p nn.Placed, batch int) error {
-	cfg := s.cfg
+	cfg := &s.cfg
 	plan, err := mapping.PlanPool(cfg.Mapping, p)
 	if err != nil {
 		return err

@@ -41,7 +41,7 @@ func TestBatch1LatencyNearPaper(t *testing.T) {
 // shares of Figure 14: filter loading ≈46%, input streaming ≈15%, MACs
 // ≈20%, reduction ≈10%, quantization ≈5%, output ≈4%, pooling ≈0.04%.
 // Our quantization share runs higher (≈11%) because we model the
-// zero-point correction pass the paper's accounting omits (EXPERIMENTS.md).
+// zero-point correction pass the paper's accounting omits.
 func TestBreakdownMatchesFigure14(t *testing.T) {
 	sys, net := inceptionSystem(t)
 	rep, err := sys.Estimate(net, 1)

@@ -17,8 +17,7 @@ import (
 
 // CostModel converts mapped work into charged cycles. The charged costs
 // are the paper's published closed forms (isa.ChargedCycles); the stepped
-// microcode is slightly cheaper for some ops, and EXPERIMENTS.md reports
-// both sides.
+// microcode is slightly cheaper for some ops.
 type CostModel struct {
 	// FreqGHz is the compute-mode clock (§V: 2.5 GHz, conservative versus
 	// the 4 GHz SRAM-mode arrays).

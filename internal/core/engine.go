@@ -47,8 +47,8 @@ type Config struct {
 	// InputMulticastFactor is the average fan-out one intra-slice bus
 	// transfer achieves when depositing replicated input windows beyond
 	// the bank latch (partial multicast of M-replicated windows across
-	// banks). Calibrated so input streaming is ≈15% of batch-1 latency
-	// (Figure 14); see DESIGN.md §4.
+	// banks). Fitted so input streaming is ≈15% of batch-1 latency, the
+	// share Figure 14 reports.
 	InputMulticastFactor float64
 	// OutputPathOverhead multiplies output-transfer bus time to cover the
 	// gather and transpose-gateway passes on the way to the reserved way.

@@ -427,7 +427,7 @@ func (f *funcExec) conv(c *nn.Conv2D, x *tensor.Quant) (*tensor.Quant, error) {
 	bias := nn.QuantizeBias(c.Bias, accScale)
 	var accs []int64
 	err = f.recordSkip(c.Name(), func() error {
-		accs, err = f.convAccs(plan, c, x, bias)
+		accs, err = f.convAccs(&plan, c, x, bias)
 		return err
 	})
 	if err != nil {

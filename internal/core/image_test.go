@@ -75,7 +75,7 @@ func FuzzConvInputImage(f *testing.F) {
 		if plan.PackFactor != 1 || plan.SplitFactor != 1 || plan.LanesPerConv != L {
 			t.Fatalf("%s: plan %+v is not the plain layout at %d lanes", net.Name, plan, L)
 		}
-		checkImageStaging(t, plan, c, placed.Out, x, slotsPer)
+		checkImageStaging(t, &plan, c, placed.Out, x, slotsPer)
 
 		want, wantTr, err := nn.RunQuant(net, x, nn.QuantOptions{})
 		if err != nil {

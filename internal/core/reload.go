@@ -37,7 +37,7 @@ func (s *System) EstimateReload(net *nn.Network) (*Reload, error) {
 		return nil, err
 	}
 	bytes := net.FilterBytes()
-	cfg := s.cfg
+	cfg := &s.cfg
 	sec := cfg.DRAM.StreamSeconds(bytes) + cfg.Cost.Seconds(transpose.GatewayCycles(bytes))
 	return &Reload{
 		Model:       net.Name,

@@ -95,7 +95,7 @@ type Report struct {
 	Ledger energy.Ledger
 	Energy energy.Breakdown
 	// DRAMEnergyJ is kept separate: the paper's package-power comparison
-	// excludes it (DESIGN.md §4).
+	// (RAPL's package domain) excludes it.
 	DRAMEnergyJ float64
 	// Sockets scales throughput: Neural Cache throughput scales linearly
 	// with the host CPUs of the node (§VI-B).

@@ -168,7 +168,7 @@ func TestPackedFiltersMatchPerGroupGather(t *testing.T) {
 		total := p.Out.Elems()
 		nGroups := (total + slotsPer - 1) / slotsPer
 		var fi filterImages
-		fi.pack(plan, c, p.Out, slotsPer, nGroups)
+		fi.pack(&plan, c, p.Out, slotsPer, nGroups)
 		flat := make([]uint64, plan.ArraysPerConv*sram.BitLines)
 		want := make([]bitvec.Vec256, plan.WeightBits)
 		for g := 0; g < nGroups; g++ {
@@ -178,7 +178,7 @@ func TestPackedFiltersMatchPerGroupGather(t *testing.T) {
 				for slot := 0; slot < slots; slot++ {
 					_, _, m := decodeConv(g*slotsPer+slot, p.Out)
 					for lane := 0; lane < L; lane++ {
-						pos, ch := operandIndex(plan, lane, j)
+						pos, ch := operandIndex(&plan, lane, j)
 						flat[slot*L+lane] = uint64(filterByte(c, m, pos, ch))
 					}
 				}

@@ -14,9 +14,9 @@ type Config struct {
 	// channels ≈ 68 GB/s for the evaluated Xeon E5-2697 v3).
 	PeakBW float64
 	// EffectiveBW is the achieved bandwidth in bytes/second for the
-	// set-strided filter-loading walk. Calibrated so filter loading is
-	// ≈46% of the batch-1 Inception v3 latency, as the paper measured
-	// (see DESIGN.md §4).
+	// set-strided filter-loading walk. It is fitted, not measured: chosen
+	// so filter loading is ≈46% of the batch-1 Inception v3 latency, the
+	// share Figure 14 reports, because nothing here executes DRAM.
 	EffectiveBW float64
 	// EnergyPerBitPJ is the DRAM system energy in pJ/bit. The paper's
 	// package-domain energy numbers exclude DRAM; the engine keeps DRAM

@@ -14,8 +14,8 @@ import (
 	"neuralcache/internal/transpose"
 )
 
-// Ablations quantifies the design choices DESIGN.md §5 calls out, one row
-// per choice, on the batch-1 Inception v3 workload.
+// Ablations quantifies the §IV design choices, one row per choice, on the
+// batch-1 Inception v3 workload.
 func (s *Suite) Ablations() (*report.Table, error) {
 	t := report.NewTable("Ablations — design choices (batch-1 Inception v3)",
 		"Design choice", "With", "Without", "Effect")

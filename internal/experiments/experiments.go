@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V–§VI) from the simulator, pairing each reproduced value
-// with the paper's published one. cmd/nctables renders them, bench_test.go
-// reports them as benchmark metrics, and EXPERIMENTS.md records them.
+// with the paper's published one. cmd/nctables renders them and
+// bench_test.go reports them as benchmark metrics.
 package experiments
 
 import (

@@ -171,7 +171,7 @@ func Execute(a *sram.Array, in Instruction) {
 // instruction: the paper's published closed forms where available
 // (§III-B/C/D), otherwise the emergent microcode cost. This is
 // deliberately separate from the stepped microcode's emergent count so
-// that the repository can report both (see EXPERIMENTS.md).
+// that the repository can report both.
 func ChargedCycles(in Instruction) int {
 	n := in.Width
 	switch in.Op {

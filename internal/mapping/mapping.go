@@ -125,16 +125,16 @@ type ConvPlan struct {
 // PlanConv lays out one convolution layer. It panics only on geometry that
 // can never map (programming errors); resource-driven failures return
 // errors.
-func PlanConv(p Params, placed nn.Placed) (*ConvPlan, error) {
+func PlanConv(p Params, placed nn.Placed) (ConvPlan, error) {
 	c := placed.Conv()
 	if c == nil {
-		return nil, fmt.Errorf("mapping: %s is not a convolution", placed.Layer.Name())
+		return ConvPlan{}, fmt.Errorf("mapping: %s is not a convolution", placed.Layer.Name())
 	}
 	if err := p.Geometry.Validate(); err != nil {
-		return nil, err
+		return ConvPlan{}, err
 	}
 	rs := c.R * c.S
-	plan := &ConvPlan{
+	plan := ConvPlan{
 		Name: c.LayerName, In: placed.In, Out: placed.Out,
 		R: c.R, S: c.S, C: c.Cin, M: c.Cout, Stride: c.Stride,
 		SplitFactor: 1, PackFactor: 1,
@@ -161,7 +161,7 @@ func PlanConv(p Params, placed nn.Placed) (*ConvPlan, error) {
 	plan.LanesPerConv = nextPow2(plan.EffChannels)
 	pairLanes := 2 * sram.BitLines
 	if plan.LanesPerConv > pairLanes {
-		return nil, fmt.Errorf("mapping: %s needs %d lanes per convolution, exceeding an array pair (%d)",
+		return ConvPlan{}, fmt.Errorf("mapping: %s needs %d lanes per convolution, exceeding an array pair (%d)",
 			c.LayerName, plan.LanesPerConv, pairLanes)
 	}
 	plan.ArraysPerConv = 1
@@ -200,7 +200,7 @@ func PlanConv(p Params, placed nn.Placed) (*ConvPlan, error) {
 	spare := (sram.WordLines - plan.Layout.Rows()) / 8
 	plan.Layout.OutputBytes = clamp(spare, 1, 8)
 	if plan.Layout.Rows() > sram.WordLines {
-		return nil, fmt.Errorf("mapping: %s layout needs %d rows, array has %d",
+		return ConvPlan{}, fmt.Errorf("mapping: %s layout needs %d rows, array has %d",
 			c.LayerName, plan.Layout.Rows(), sram.WordLines)
 	}
 
@@ -232,12 +232,12 @@ type PoolPlan struct {
 }
 
 // PlanPool lays out one pooling layer.
-func PlanPool(p Params, placed nn.Placed) (*PoolPlan, error) {
+func PlanPool(p Params, placed nn.Placed) (PoolPlan, error) {
 	l := placed.Pooling()
 	if l == nil {
-		return nil, fmt.Errorf("mapping: %s is not a pool", placed.Layer.Name())
+		return PoolPlan{}, fmt.Errorf("mapping: %s is not a pool", placed.Layer.Name())
 	}
-	plan := &PoolPlan{
+	plan := PoolPlan{
 		Name: l.LayerName, In: placed.In, Out: placed.Out, Kind: l.Kind,
 		Window:    l.R * l.S,
 		TotalOuts: placed.Out.Elems(),

@@ -45,9 +45,14 @@ func (p Placed) Pooling() *Pool {
 }
 
 // Flatten resolves every leaf layer's shapes, descending into Concat
-// branches (which all read the Concat's input).
+// branches (which all read the Concat's input). Leaves come in top-level
+// order: every leaf of Layers[i] precedes every leaf of Layers[i+1].
 func (n *Network) Flatten() []Placed {
-	var out []Placed
+	leaves := 0
+	for _, l := range n.Layers {
+		eachLeaf(l, func(Layer) { leaves++ })
+	}
+	out := make([]Placed, 0, leaves)
 	s := n.Input
 	for i, l := range n.Layers {
 		flattenInto(&out, l, s, i)
@@ -77,6 +82,28 @@ func flattenInto(out *[]Placed, l Layer, in tensor.Shape, group int) {
 	}
 }
 
+// eachLeaf calls fn on every leaf layer under l, in Flatten's order,
+// without resolving shapes.
+func eachLeaf(l Layer, fn func(Layer)) {
+	switch t := l.(type) {
+	case *Concat:
+		for _, b := range t.Branches {
+			for _, bl := range b {
+				eachLeaf(bl, fn)
+			}
+		}
+	case *Residual:
+		for _, bl := range t.Body {
+			eachLeaf(bl, fn)
+		}
+		for _, bl := range t.Shortcut {
+			eachLeaf(bl, fn)
+		}
+	default:
+		fn(l)
+	}
+}
+
 // Convs returns the flattened convolution leaves only.
 func (n *Network) Convs() []Placed {
 	var out []Placed
@@ -103,8 +130,12 @@ func (n *Network) MACs() int64 {
 // FilterBytes returns the total 8-bit weight footprint.
 func (n *Network) FilterBytes() int {
 	total := 0
-	for _, p := range n.Convs() {
-		total += p.Conv().FilterBytes()
+	for _, l := range n.Layers {
+		eachLeaf(l, func(leaf Layer) {
+			if c, ok := leaf.(*Conv2D); ok {
+				total += c.FilterBytes()
+			}
+		})
 	}
 	return total
 }
@@ -120,23 +151,30 @@ func (n *Network) Validate() (err error) {
 	s := n.Input
 	for _, l := range n.Layers {
 		s = l.OutShape(s)
+		eachLeaf(l, func(leaf Layer) {
+			if err == nil {
+				err = checkFilter(leaf)
+			}
+		})
 	}
-	for _, p := range n.Flatten() {
-		c := p.Conv()
-		if c == nil {
-			continue
-		}
-		if c.Filter != nil {
-			f := c.Filter
-			if f.R != c.R || f.S != c.S || f.C != c.Cin || f.M != c.Cout {
-				return fmt.Errorf("nn: %s filter %dx%dx%dx%d mismatches layer %dx%dx%dx%d",
-					c.LayerName, f.R, f.S, f.C, f.M, c.R, c.S, c.Cin, c.Cout)
-			}
-			if c.Bias != nil && len(c.Bias) != c.Cout {
-				return fmt.Errorf("nn: %s has %d biases for %d output channels",
-					c.LayerName, len(c.Bias), c.Cout)
-			}
-		}
+	return err
+}
+
+// checkFilter reports a convolution whose initialized weights mismatch
+// its geometry.
+func checkFilter(l Layer) error {
+	c, ok := l.(*Conv2D)
+	if !ok || c.Filter == nil {
+		return nil
+	}
+	f := c.Filter
+	if f.R != c.R || f.S != c.S || f.C != c.Cin || f.M != c.Cout {
+		return fmt.Errorf("nn: %s filter %dx%dx%dx%d mismatches layer %dx%dx%dx%d",
+			c.LayerName, f.R, f.S, f.C, f.M, c.R, c.S, c.Cin, c.Cout)
+	}
+	if c.Bias != nil && len(c.Bias) != c.Cout {
+		return fmt.Errorf("nn: %s has %d biases for %d output channels",
+			c.LayerName, len(c.Bias), c.Cout)
 	}
 	return nil
 }
@@ -144,20 +182,22 @@ func (n *Network) Validate() (err error) {
 // CheckWeights reports an error when a convolution has no filter, which
 // is the state of every bundled network until InitWeights runs.
 // Executing a network needs weights; estimating it does not.
-func (n *Network) CheckWeights() error {
-	for _, p := range n.Convs() {
-		if c := p.Conv(); c.Filter == nil {
-			return fmt.Errorf("nn: %s of %s has no weights; call InitWeights", c.LayerName, n.Name)
-		}
+func (n *Network) CheckWeights() (err error) {
+	for _, l := range n.Layers {
+		eachLeaf(l, func(leaf Layer) {
+			if c, ok := leaf.(*Conv2D); ok && c.Filter == nil && err == nil {
+				err = fmt.Errorf("nn: %s of %s has no weights; call InitWeights", c.LayerName, n.Name)
+			}
+		})
 	}
-	return nil
+	return err
 }
 
 // InitWeights populates every convolution with deterministic synthetic
 // weights (He-scaled Gaussians) and small biases, quantized to the
 // asymmetric unsigned scheme. Timing and data movement are shape-derived,
 // so synthetic weights reproduce every paper result that does not depend
-// on trained-model accuracy (see DESIGN.md §4).
+// on trained-model accuracy.
 func (n *Network) InitWeights(seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	for _, p := range n.Flatten() {

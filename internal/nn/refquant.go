@@ -8,8 +8,8 @@ import (
 )
 
 // The integer reference executor. It is the oracle the in-cache functional
-// engine is verified against (the paper verified its simulator against
-// instrumented TensorFlow traces; see DESIGN.md §4). Every arithmetic step
+// engine is verified against, in place of the instrumented TensorFlow
+// traces the paper verified its simulator against. Every arithmetic step
 // here has an exact in-cache counterpart:
 //
 //	ACC  = Σ q_a·q_w            bit-serial MACs + channel reduction

@@ -4,8 +4,7 @@ import "testing"
 
 // TestInceptionTableI asserts our Inception v3 builder reproduces the
 // paper's Table I row for row: exact convolution counts, exact footprints.
-// Two known inconsistencies in the paper's own table (recorded in
-// EXPERIMENTS.md):
+// Two known inconsistencies in the paper's own table:
 //   - Mixed_6a's "Filter Size" is printed as 0.255 MB, but the module's
 //     own convolutions (whose count, 334720, we match exactly) total
 //     1,152,000 bytes ≈ 1.099 MB.

@@ -1,6 +1,6 @@
 // Package report renders the reproduction's tables and figure series as
 // aligned text (markdown-compatible pipe tables and simple bar charts),
-// used by cmd/nctables, the examples and EXPERIMENTS.md generation.
+// used by cmd/nctables and the examples.
 package report
 
 import (

@@ -157,7 +157,6 @@ func (l Load) validate() error {
 type simModel struct {
 	name                      string
 	offered, served, rejected int
-	latencies                 []time.Duration
 }
 
 // sim is the state of one Simulate run: the node core's admission
@@ -189,7 +188,7 @@ type sim struct {
 	cacheHits int
 
 	offered, served, rejected int
-	latencies                 []time.Duration
+	latencies                 node.Latencies
 	firstArrival              time.Duration
 	lastCompletion            time.Duration
 	shardUse                  []ShardUsage
@@ -226,7 +225,7 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		gen:      load.traffic().Arrivals(),
 		shardUse: make([]ShardUsage, o.Replicas),
 		// At most one latency per arrival.
-		latencies: make([]time.Duration, 0, load.Requests),
+		latencies: node.NewLatencies(load.Requests, false),
 	}
 	if o.Cache.Enabled() {
 		if s.cache, err = NewCache(o.Cache); err != nil {
@@ -367,8 +366,7 @@ func (s *sim) onArrival(e *node.Event) {
 		s.cacheHits++
 		s.served++
 		m.served++
-		s.latencies = append(s.latencies, cacheHitLatency)
-		m.latencies = append(m.latencies, cacheHitLatency)
+		s.latencies.Add(cacheHitLatency, e.Model, 0)
 		if done > s.lastCompletion {
 			s.lastCompletion = done
 		}
@@ -402,8 +400,7 @@ func (s *sim) onCompletion(e *node.Event) error {
 		s.lastCompletion = s.now
 	}
 	for _, at := range e.Arrivals {
-		s.latencies = append(s.latencies, s.now-at)
-		m.latencies = append(m.latencies, s.now-at)
+		s.latencies.Add(s.now-at, e.Model, 0)
 	}
 	// Misses fill the cache on completion, in batch order.
 	for _, k := range e.Keys {
@@ -503,6 +500,7 @@ func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
 		}
 		cacheStats = s.cache.ModelStats()
 	}
+	lat, _ := s.latencies.Split(len(s.models), 0)
 	perModelLat := make(map[string][]time.Duration, len(s.models))
 	for mi, m := range s.models {
 		t := n.Models[mi]
@@ -523,7 +521,7 @@ func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
 			}
 		}
 		r.PerModel = append(r.PerModel, mu)
-		perModelLat[m.name] = m.latencies
+		perModelLat[m.name] = lat[mi]
 	}
 	if s.timeline != nil {
 		// s.now is the final event's time (≥ last completion: trailing
@@ -537,7 +535,7 @@ func (s *sim) report(backend Backend, load Load) (*LoadReport, error) {
 		r.ThroughputPerSec = float64(s.served) / makespan.Seconds()
 		r.MeanQueueDepth = s.depthInt / float64(makespan)
 	}
-	if err := r.finish(backend, s.latencies, perModelLat, makespan); err != nil {
+	if err := r.finish(backend, s.latencies.All, perModelLat, makespan); err != nil {
 		return nil, err
 	}
 	return r, nil

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 )
@@ -114,16 +113,30 @@ func (ModelAffinity) Pick(model string, views []NodeView) int {
 	return best
 }
 
-// rendezvous ranks (model, node) pairs with FNV-1a; the model's home is
-// the accepting node with the highest rank. Node names are unique
-// within a cluster, so ranks tie only with astronomically small
-// probability (ties fall to the lowest index via the strict > above).
+// rendezvous ranks (model, node) pairs with FNV-1a over the model name,
+// a zero byte and the node name; the model's home is the accepting node
+// with the highest rank. Node names are unique within a cluster, so
+// ranks tie only with astronomically small probability (ties fall to
+// the lowest index via the strict > above).
 func rendezvous(model, node string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(model))
-	h.Write([]byte{0})
-	h.Write([]byte(node))
-	return h.Sum64()
+	h := fnv1a(fnvOffset64, model)
+	h *= fnvPrime64 // the zero byte: XOR with 0 leaves h as it is
+	return fnv1a(h, node)
+}
+
+// FNV-1a's 64-bit parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a folds s into the FNV-1a state h.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // PowerOfTwo samples two distinct accepting nodes from a seeded
@@ -145,28 +158,43 @@ func NewPowerOfTwo(seed int64) *PowerOfTwo {
 // Name implements Router.
 func (p *PowerOfTwo) Name() string { return "p2c" }
 
-// Pick implements Router.
+// Pick implements Router. It counts the accepting views, draws two
+// distinct ranks among them and finds those views with a second scan,
+// so it allocates nothing.
 func (p *PowerOfTwo) Pick(model string, views []NodeView) int {
-	accepting := make([]NodeView, 0, len(views))
-	for _, v := range views {
-		if v.Accepting {
-			accepting = append(accepting, v)
+	n, last := 0, -1
+	for k := range views {
+		if views[k].Accepting {
+			n, last = n+1, k
 		}
 	}
-	switch len(accepting) {
+	switch n {
 	case 0:
 		return -1
 	case 1:
-		return accepting[0].Index
+		return views[last].Index
 	}
 	p.mu.Lock()
-	i := p.rng.Intn(len(accepting))
-	j := p.rng.Intn(len(accepting) - 1)
+	i := p.rng.Intn(n)
+	j := p.rng.Intn(n - 1)
 	p.mu.Unlock()
 	if j >= i {
 		j++
 	}
-	a, b := accepting[i], accepting[j]
+	var a, b *NodeView
+	seen := 0
+	for k := range views {
+		if !views[k].Accepting {
+			continue
+		}
+		switch seen {
+		case i:
+			a = &views[k]
+		case j:
+			b = &views[k]
+		}
+		seen++
+	}
 	if bl, al := b.load(), a.load(); bl < al || (bl == al && b.Index < a.Index) {
 		return b.Index
 	}

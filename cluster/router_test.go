@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"hash/fnv"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +93,76 @@ func TestPowerOfTwoDeterministicSeeded(t *testing.T) {
 	}
 	if got := NewPowerOfTwo(1).Pick("m", views(false, false)); got != -1 {
 		t.Errorf("picked %d from a drained fleet", got)
+	}
+}
+
+// TestRendezvousMatchesHashFNV pins the in-place rank to hash/fnv's
+// FNV-1a over the model name, a zero byte and the node name.
+func TestRendezvousMatchesHashFNV(t *testing.T) {
+	names := []string{"", "a", "m", "inception_v3", "resnet_18", "small_cnn",
+		"node-0", "node-13", "ünï\x00cödé", strings.Repeat("xy", 300)}
+	for _, model := range names {
+		for _, node := range names {
+			h := fnv.New64a()
+			h.Write([]byte(model))
+			h.Write([]byte{0})
+			h.Write([]byte(node))
+			if got, want := rendezvous(model, node), h.Sum64(); got != want {
+				t.Errorf("rendezvous(%q, %q) = %#x, hash/fnv gives %#x", model, node, got, want)
+			}
+		}
+	}
+}
+
+// copyingPick is the power-of-two pick that gathers the accepting views
+// into a slice of their own before drawing two of them.
+func copyingPick(rng *rand.Rand, views []NodeView) int {
+	var accepting []NodeView
+	for _, v := range views {
+		if v.Accepting {
+			accepting = append(accepting, v)
+		}
+	}
+	switch len(accepting) {
+	case 0:
+		return -1
+	case 1:
+		return accepting[0].Index
+	}
+	i := rng.Intn(len(accepting))
+	j := rng.Intn(len(accepting) - 1)
+	if j >= i {
+		j++
+	}
+	a, b := accepting[i], accepting[j]
+	if bl, al := b.load(), a.load(); bl < al || (bl == al && b.Index < a.Index) {
+		return b.Index
+	}
+	return a.Index
+}
+
+// TestPowerOfTwoMatchesCopyingPick draws from the same seed as the
+// copying pick over random fleets and must pick the same node every time.
+func TestPowerOfTwoMatchesCopyingPick(t *testing.T) {
+	fleets := rand.New(rand.NewSource(3))
+	p, ref := NewPowerOfTwo(11), rand.New(rand.NewSource(11))
+	for draw := 0; draw < 2000; draw++ {
+		vs := views(make([]bool, fleets.Intn(7))...)
+		for i := range vs {
+			vs[i].Accepting = fleets.Intn(4) > 0
+			vs[i].QueueDepth = fleets.Intn(5)
+		}
+		if got, want := p.Pick("m", vs), copyingPick(ref, vs); got != want {
+			t.Fatalf("draw %d over %+v: picked %d, the copying pick %d", draw, vs, got, want)
+		}
+	}
+}
+
+func TestPowerOfTwoPickAllocatesNothing(t *testing.T) {
+	vs := views(true, false, true, true)
+	p := NewPowerOfTwo(5)
+	if allocs := testing.AllocsPerRun(100, func() { p.Pick("m", vs) }); allocs != 0 {
+		t.Errorf("Pick allocated %.0f times, want 0", allocs)
 	}
 }
 

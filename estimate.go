@@ -115,7 +115,9 @@ func (s *System) EstimateReplica(m *Model, batch int) (*Estimate, error) {
 
 // EstimateReplicaGroup prices a batch on a k-slice replica group,
 // independent of the configured GroupSize — the hook group-sweep tooling
-// uses to walk the Table IV frontier. k must divide Slices.
+// uses to walk the Table IV frontier. k must divide Slices. The System
+// walks each model once per group size and prices every batch by
+// replaying that walk, so repeated calls cost a replay, not a walk.
 func (s *System) EstimateReplicaGroup(m *Model, batch, k int) (*Estimate, error) {
 	return s.EstimateReplicaGroupDensity(m, batch, k, 1)
 }
@@ -137,12 +139,22 @@ func (s *System) EstimateDensity(m *Model, batch int, density float64) (*Estimat
 
 // EstimateReplicaGroupDensity is EstimateReplicaGroup with the MAC phase
 // discounted for a measured bit-column density (see EstimateDensity).
+// The first call for a (model, k) pair walks the network on the k-slice
+// engine; every call replays the kept walk at batch and density, with
+// results identical to a fresh System's.
 func (s *System) EstimateReplicaGroupDensity(m *Model, batch, k int, density float64) (*Estimate, error) {
 	sys, err := s.replicaGroup(k)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sys.EstimateDensity(m.net, batch, density)
+	if err := core.CheckBatch(batch, density); err != nil {
+		return nil, err
+	}
+	p, err := s.replicaGroupWalk(sys, m, k)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := p.Report(batch, density)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,12 @@ func (c CostModel) MACCyclesDensity(d float64) uint64 {
 // each of the (1−d)·wBits elided slices saves its ActBits+1-cycle
 // predicated add. wBits = ActBits reproduces MACCyclesDensity exactly.
 func (c CostModel) MACCyclesWidthsDensity(wBits int, d float64) uint64 {
-	dense := c.MACCyclesWidths(wBits)
+	return c.discount(c.MACCyclesWidths(wBits), wBits, d)
+}
+
+// discount prices a wBits-weight MAC that costs dense cycles at density
+// d: each of the (1−d)·wBits elided slices saves its ActBits+1 cycles.
+func (c CostModel) discount(dense uint64, wBits int, d float64) uint64 {
 	if d >= 1 {
 		return dense
 	}

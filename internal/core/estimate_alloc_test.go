@@ -2,10 +2,12 @@ package core
 
 import "testing"
 
-// TestEstimateAllocations bounds what pricing a batch allocates. An
-// estimate walks the network once: it allocates its report, the
-// report's layer slice and one flattened leaf list, and nothing per
-// layer. A reload allocates only its result.
+// TestEstimateAllocations bounds what pricing a batch allocates. A cold
+// EstimateDensity is a walk plus a replay, so each is bounded on its
+// own. The walk allocates its Priced and that Priced's three slices,
+// the same for every net and nothing per layer. A replay allocates its
+// report and the report's layer slice. A reload allocates only its
+// result.
 func TestEstimateAllocations(t *testing.T) {
 	sys, err := New(DefaultConfig())
 	if err != nil {
@@ -13,13 +15,25 @@ func TestEstimateAllocations(t *testing.T) {
 	}
 	for _, build := range bundledNets {
 		net := build()
-		est := testing.AllocsPerRun(20, func() {
-			if _, err := sys.EstimateDensity(net, 4, 0.5); err != nil {
+		walk := testing.AllocsPerRun(20, func() {
+			if _, err := sys.Price(net); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if est > 4 {
-			t.Errorf("%s: EstimateDensity allocated %.0f times, want at most 4", net.Name, est)
+		if walk > 4 {
+			t.Errorf("%s: Price allocated %.0f times, want at most 4", net.Name, walk)
+		}
+		p, err := sys.Price(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay := testing.AllocsPerRun(20, func() {
+			if _, err := p.Report(4, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if replay > 2 {
+			t.Errorf("%s: Report allocated %.0f times, want at most 2", net.Name, replay)
 		}
 		rel := testing.AllocsPerRun(20, func() {
 			if _, err := sys.EstimateReload(net); err != nil {

@@ -147,20 +147,30 @@ func (c *Concat) Group() string { return c.LayerGroup }
 func (c *Concat) OutShape(in tensor.Shape) tensor.Shape {
 	var out tensor.Shape
 	for i, b := range c.Branches {
-		s := in
-		for _, l := range b {
-			s = l.OutShape(s)
-		}
-		if i == 0 {
-			out = s
-			continue
-		}
-		if s.H != out.H || s.W != out.W {
-			panic(fmt.Sprintf("nn: %s branch %d output %v mismatches %v", c.LayerName, i, s, out))
-		}
-		out.C += s.C
+		out = c.join(i, out, seqShape(b, in))
 	}
 	return out
+}
+
+// join folds branch i's output shape s into out, the concatenation of
+// the branches before it.
+func (c *Concat) join(i int, out, s tensor.Shape) tensor.Shape {
+	if i == 0 {
+		return s
+	}
+	if s.H != out.H || s.W != out.W {
+		panic(fmt.Sprintf("nn: %s branch %d output %v mismatches %v", c.LayerName, i, s, out))
+	}
+	out.C += s.C
+	return out
+}
+
+// seqShape propagates in through a sequence of layers.
+func seqShape(layers []Layer, in tensor.Shape) tensor.Shape {
+	for _, l := range layers {
+		in = l.OutShape(in)
+	}
+	return in
 }
 
 func outDim(in, k, pad, stride int) int {

@@ -53,33 +53,86 @@ func (n *Network) Flatten() []Placed {
 		eachLeaf(l, func(Layer) { leaves++ })
 	}
 	out := make([]Placed, 0, leaves)
-	s := n.Input
-	for i, l := range n.Layers {
-		flattenInto(&out, l, s, i)
-		s = l.OutShape(s)
-	}
+	n.walk(func(p Placed) {
+		switch p.Layer.(type) {
+		case *Concat, *Residual:
+		default:
+			out = append(out, p)
+		}
+	})
 	return out
 }
 
-func flattenInto(out *[]Placed, l Layer, in tensor.Shape, group int) {
-	flattenSeq := func(layers []Layer) {
-		s := in
-		for _, bl := range layers {
-			flattenInto(out, bl, s, group)
-			s = bl.OutShape(s)
+// Walk validates the network as Validate does and calls fn on every
+// layer with its resolved shapes, folding each container's branches
+// once. Leaves come in Flatten's order, and a container comes after
+// everything under it, so a top-level layer is the last of its group.
+// fn is not called again after it returns an error. A shape error takes
+// precedence over a filter mismatch, and both over fn's error.
+func (n *Network) Walk(fn func(Placed) error) (err error) {
+	inFn := false
+	defer func() {
+		if r := recover(); r != nil {
+			if inFn {
+				panic(r)
+			}
+			err = fmt.Errorf("nn: invalid network: %v", r)
 		}
+	}()
+	var filterErr, fnErr error
+	n.walk(func(p Placed) {
+		if filterErr == nil {
+			filterErr = checkFilter(p.Layer)
+		}
+		if fnErr == nil {
+			inFn = true
+			fnErr = fn(p)
+			inFn = false
+		}
+	})
+	if filterErr != nil {
+		return filterErr
 	}
+	return fnErr
+}
+
+// walk resolves every layer's shapes in one pass and calls fn on each,
+// in Walk's order. It panics where OutShape would.
+func (n *Network) walk(fn func(Placed)) {
+	w := walker{fn: fn}
+	s := n.Input
+	for i, l := range n.Layers {
+		w.group = i
+		s = w.layer(l, s)
+	}
+}
+
+type walker struct {
+	fn    func(Placed)
+	group int
+}
+
+func (w *walker) layer(l Layer, in tensor.Shape) tensor.Shape {
+	var out tensor.Shape
 	switch t := l.(type) {
 	case *Concat:
-		for _, b := range t.Branches {
-			flattenSeq(b)
+		for i, b := range t.Branches {
+			out = t.join(i, out, w.seq(b, in))
 		}
 	case *Residual:
-		flattenSeq(t.Body)
-		flattenSeq(t.Shortcut)
+		out = t.join(w.seq(t.Body, in), w.seq(t.Shortcut, in))
 	default:
-		*out = append(*out, Placed{Layer: l, In: in, Out: l.OutShape(in), GroupIdx: group})
+		out = l.OutShape(in)
 	}
+	w.fn(Placed{Layer: l, In: in, Out: out, GroupIdx: w.group})
+	return out
+}
+
+func (w *walker) seq(layers []Layer, in tensor.Shape) tensor.Shape {
+	for _, l := range layers {
+		in = w.layer(l, in)
+	}
+	return in
 }
 
 // eachLeaf calls fn on every leaf layer under l, in Flatten's order,
@@ -142,22 +195,8 @@ func (n *Network) FilterBytes() int {
 
 // Validate checks that shapes propagate and, if weights are initialized,
 // that filters match their layers.
-func (n *Network) Validate() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("nn: invalid network: %v", r)
-		}
-	}()
-	s := n.Input
-	for _, l := range n.Layers {
-		s = l.OutShape(s)
-		eachLeaf(l, func(leaf Layer) {
-			if err == nil {
-				err = checkFilter(leaf)
-			}
-		})
-	}
-	return err
+func (n *Network) Validate() error {
+	return n.Walk(func(Placed) error { return nil })
 }
 
 // checkFilter reports a convolution whose initialized weights mismatch

@@ -27,14 +27,11 @@ func (r *Residual) Group() string { return r.LayerGroup }
 
 // OutShape implements Layer.
 func (r *Residual) OutShape(in tensor.Shape) tensor.Shape {
-	body := in
-	for _, l := range r.Body {
-		body = l.OutShape(body)
-	}
-	short := in
-	for _, l := range r.Shortcut {
-		short = l.OutShape(short)
-	}
+	return r.join(seqShape(r.Body, in), seqShape(r.Shortcut, in))
+}
+
+// join checks that the body's and the shortcut's output shapes agree.
+func (r *Residual) join(body, short tensor.Shape) tensor.Shape {
 	if body != short {
 		panic(fmt.Sprintf("nn: %s body %v and shortcut %v disagree", r.LayerName, body, short))
 	}

@@ -8,7 +8,10 @@ import (
 	"neuralcache/internal/tensor"
 )
 
-// Model is a quantized network the system can estimate or run.
+// Model is a quantized network the system can estimate or run. Its
+// shape never changes after construction (InitWeights sets only its
+// weights), so a System keeps one walk of a Model per replica-group
+// size and prices every batch from it.
 type Model struct {
 	net *nn.Network
 }

@@ -133,12 +133,22 @@ type System struct {
 	core *core.System
 
 	// groups caches the shrunken k-slice replica-group engines
-	// (core.Config.ReplicaGroup); the configured GroupSize is built
-	// eagerly in New, other divisors lazily on first use.
+	// (core.Config.ReplicaGroup), and each engine's walk of every model
+	// it has priced; the configured GroupSize is built eagerly in New,
+	// other divisors and every walk lazily on first use.
 	groups struct {
 		sync.Mutex
-		byK map[int]*core.System
+		byK    map[int]*core.System
+		priced map[pricedKey]*core.Priced
 	}
+}
+
+// pricedKey names one walk: a model on a k-slice replica-group engine.
+// A Model's shape never changes after construction, so its pointer
+// keys every batch size and density of it.
+type pricedKey struct {
+	k int
+	m *Model
 }
 
 // New builds a system.
@@ -171,6 +181,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, core: sys}
 	s.groups.byK = make(map[int]*core.System)
+	s.groups.priced = make(map[pricedKey]*core.Priced)
 	if _, err := s.replicaGroup(s.GroupSize()); err != nil {
 		return nil, err
 	}
@@ -195,6 +206,23 @@ func (s *System) replicaGroup(k int) (*core.System, error) {
 	}
 	s.groups.byK[k] = sys
 	return sys, nil
+}
+
+// replicaGroupWalk returns m's walk on the k-slice engine sys, walking
+// it on first use.
+func (s *System) replicaGroupWalk(sys *core.System, m *Model, k int) (*core.Priced, error) {
+	s.groups.Lock()
+	defer s.groups.Unlock()
+	key := pricedKey{k: k, m: m}
+	if p, ok := s.groups.priced[key]; ok {
+		return p, nil
+	}
+	p, err := sys.Price(m.net)
+	if err != nil {
+		return nil, err
+	}
+	s.groups.priced[key] = p
+	return p, nil
 }
 
 // Config returns the facade configuration.

@@ -55,8 +55,9 @@ type Backend interface {
 // serviceClock holds the model registry and prices batch service and
 // reload times via System.EstimateReplicaGroup /
 // System.EstimateReloadGroup, memoizing per (model, batch size, group
-// size), so a load run costs one analytic estimate per distinct key
-// rather than one per dispatch.
+// size). A load run costs one replay per distinct key rather than one
+// per dispatch, on one walk per model and group size that the System
+// keeps.
 type serviceClock struct {
 	sys    *neuralcache.System
 	models []*neuralcache.Model

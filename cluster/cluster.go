@@ -48,7 +48,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"neuralcache"
@@ -273,54 +272,6 @@ func (o Options) withDefaults() (Options, error) {
 		}
 	}
 	return o, nil
-}
-
-// observerHalfLife is the decay half-life of the cluster-level
-// offered-mix EWMA that joining planned nodes warm up against: the
-// default half-life of plan.ControllerConfig.
-const observerHalfLife = 500 * time.Millisecond
-
-// mixObserver is the cluster-level offered-mix EWMA: every routed
-// arrival feeds it, so it tracks what the fleet is being asked to
-// serve right now. Joining planned nodes compute their warm sets from
-// it — current traffic, not the launch mix.
-type mixObserver struct {
-	halfLife time.Duration
-	counts   []float64
-	last     time.Duration
-}
-
-func newMixObserver(halfLife time.Duration, models int) *mixObserver {
-	return &mixObserver{halfLife: halfLife, counts: make([]float64, models)}
-}
-
-func (o *mixObserver) observe(model int, now time.Duration) {
-	if now > o.last {
-		// The half-life decay plan.Controller applies.
-		f := math.Exp2(-float64(now-o.last) / float64(o.halfLife))
-		for i := range o.counts {
-			o.counts[i] *= f
-		}
-		o.last = now
-	}
-	o.counts[model]++
-}
-
-// shares returns the normalized observed mix as plan.Shares in model
-// order, or nil while no mass has been observed.
-func (o *mixObserver) shares(names []string) []plan.Share {
-	mass := 0.0
-	for _, n := range o.counts {
-		mass += n
-	}
-	if mass <= 0 {
-		return nil
-	}
-	out := make([]plan.Share, len(names))
-	for i, name := range names {
-		out[i] = plan.Share{Model: name, Weight: o.counts[i] / mass}
-	}
-	return out
 }
 
 // sharesFromMix converts a load mix into planner shares, resolving ""

@@ -70,7 +70,7 @@ type sim struct {
 	now    time.Duration
 
 	gen      *node.Gen
-	observer *mixObserver
+	observer *plan.DecayedMix // the offered mix joining nodes plan for
 	tracer   *tracer
 	timeline *fleetTimeline
 
@@ -159,7 +159,7 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 		}, &s.events, s)
 		s.nodes = append(s.nodes, n)
 	}
-	s.observer = newMixObserver(observerHalfLife, len(models))
+	s.observer = plan.NewDecayedMix(len(models), plan.DefaultHalfLife)
 	s.tracer = newTracer(o.Trace)
 	s.tracer.begin(o.Nodes)
 	if o.TimelineInterval > 0 {
@@ -243,8 +243,7 @@ func (s *sim) arrive() {
 // shares are floored to a tiny epsilon, and registered models missing
 // from the shares are appended at that epsilon, so every registered
 // model keeps a warm set (the plan has no overflow pool; an unpinned
-// model's requests could never dispatch) — the same rationale as
-// plan.Rebalance's floor.
+// model's requests could never dispatch).
 func (s *sim) planNode(n *simNode, shares []plan.Share) error {
 	floored := make([]plan.Share, 0, len(s.names))
 	present := make(map[string]bool, len(shares))
@@ -311,7 +310,7 @@ func (s *sim) onArrival(e node.Event) {
 	if s.offered == 1 {
 		s.firstArrival = s.now
 	}
-	s.observer.observe(mi, s.now)
+	s.observer.Add(mi, 1, s.now)
 	views := s.views()
 	pick := s.router.Pick(s.names[mi], views)
 	switch {
@@ -404,7 +403,7 @@ func (s *sim) onLifecycle(e node.Event) error {
 			// the cluster observes right now, not the launch mix.
 			n.state = stateLive
 			if n.spec.Plan {
-				shares := s.observer.shares(s.names)
+				shares := s.observer.Shares(s.models)
 				if shares == nil {
 					shares = s.initialMix
 				}

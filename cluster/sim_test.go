@@ -506,27 +506,28 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestMixObserver: the cluster-level EWMA decays with the configured
+// TestMixObserver: the cluster-level EWMA decays with the default
 // half-life and normalizes to shares.
 func TestMixObserver(t *testing.T) {
-	o := newMixObserver(500*time.Millisecond, 2)
-	if o.shares([]string{"a", "b"}) != nil {
+	models := []*neuralcache.Model{neuralcache.InceptionV3(), neuralcache.ResNet18()}
+	o := plan.NewDecayedMix(len(models), plan.DefaultHalfLife)
+	if o.Shares(models) != nil {
 		t.Error("empty observer returned shares")
 	}
-	o.observe(0, 0)
-	o.observe(0, 0)
-	o.observe(0, 0)
-	o.observe(1, 500*time.Millisecond)
-	shares := o.shares([]string{"a", "b"})
+	o.Add(0, 1, 0)
+	o.Add(0, 1, 0)
+	o.Add(0, 1, 0)
+	o.Add(1, 1, 500*time.Millisecond)
+	shares := o.Shares(models)
 	if shares == nil {
 		t.Fatal("no shares after observations")
 	}
 	// Model 0's mass 3 halved over one half-life: 1.5 vs 1.
 	if got, want := shares[0].Weight, 1.5/2.5; !approxEqual(got, want) {
-		t.Errorf("share a = %f, want %f", got, want)
+		t.Errorf("share %s = %f, want %f", shares[0].Model, got, want)
 	}
 	if got, want := shares[1].Weight, 1.0/2.5; !approxEqual(got, want) {
-		t.Errorf("share b = %f, want %f", got, want)
+		t.Errorf("share %s = %f, want %f", shares[1].Model, got, want)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"neuralcache"
 	"neuralcache/cluster"
 	"neuralcache/obs"
-	"neuralcache/serve"
 )
 
 // parseNodeSpecs parses the -cluster fleet description: either a bare
@@ -139,11 +138,12 @@ func parseClusterRateShifts(s string) ([]cluster.RateShift, error) {
 
 // fleetCapacity sums the nodes' §VI-B replica-group throughput bounds
 // for the default model — the fleet analogue of fillLoad's rate
-// default. Zero spec fields default like cluster.NodeSpec.
+// default. Zero geometry fields default like cluster.NodeSpec; MaxBatch
+// comes from -maxbatch, which is at least 1.
 func fleetCapacity(specs []cluster.NodeSpec, resident []*neuralcache.Model) (float64, error) {
 	total := 0.0
 	for _, ns := range specs {
-		sockets, slices, group, maxBatch := ns.Sockets, ns.Slices, ns.GroupSize, ns.MaxBatch
+		sockets, slices, group := ns.Sockets, ns.Slices, ns.GroupSize
 		if sockets == 0 {
 			sockets = 2
 		}
@@ -152,9 +152,6 @@ func fleetCapacity(specs []cluster.NodeSpec, resident []*neuralcache.Model) (flo
 		}
 		if group == 0 {
 			group = 1
-		}
-		if maxBatch == 0 {
-			maxBatch = 16
 		}
 		cfg := neuralcache.DefaultConfig()
 		cfg.Sockets, cfg.Slices = sockets, slices
@@ -165,12 +162,11 @@ func fleetCapacity(specs []cluster.NodeSpec, resident []*neuralcache.Model) (flo
 		if err != nil {
 			return 0, err
 		}
-		be := serve.NewAnalyticBackend(sys, resident[0], resident[1:]...)
-		st, err := be.ServiceTime("", maxBatch, group)
+		st, err := sys.ServiceTime(resident[0], ns.MaxBatch, group)
 		if err != nil {
 			return 0, err
 		}
-		total += float64(sockets*slices/group*maxBatch) / st.Seconds()
+		total += float64(sockets*slices/group*ns.MaxBatch) / st.Seconds()
 	}
 	return total, nil
 }

@@ -95,3 +95,14 @@ func validateFlags(f runFlags) error {
 	}
 	return nil
 }
+
+// validateSizes rejects a -group or -maxbatch below one.
+func validateSizes(group, maxBatch int) error {
+	if group < 1 {
+		return fmt.Errorf("-group %d: need at least one slice per replica group", group)
+	}
+	if maxBatch < 1 {
+		return fmt.Errorf("-maxbatch %d: need at least one request per batch", maxBatch)
+	}
+	return nil
+}

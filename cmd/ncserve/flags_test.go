@@ -93,6 +93,28 @@ func TestValidateFlagsMatrix(t *testing.T) {
 	}
 }
 
+// TestValidateSizes: a -maxbatch below 1 dies with a named error, as
+// -group does, instead of pricing the default rate at one batch size
+// and serving at another.
+func TestValidateSizes(t *testing.T) {
+	for _, tc := range []struct {
+		group, maxBatch int
+		want            string
+	}{
+		{0, 16, "-group 0: need at least one slice per replica group"},
+		{1, 0, "-maxbatch 0: need at least one request per batch"},
+		{7, -3, "-maxbatch -3: need at least one request per batch"},
+	} {
+		err := validateSizes(tc.group, tc.maxBatch)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("-group %d -maxbatch %d: error %v, want %q", tc.group, tc.maxBatch, err, tc.want)
+		}
+	}
+	if err := validateSizes(1, 1); err != nil {
+		t.Errorf("-group 1 -maxbatch 1 rejected: %v", err)
+	}
+}
+
 func TestParseNodeSpecs(t *testing.T) {
 	specs, err := parseNodeSpecs("3")
 	if err != nil || len(specs) != 3 || specs[0] != (cluster.NodeSpec{}) {

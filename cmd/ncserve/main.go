@@ -211,8 +211,8 @@ func main() {
 	cfg.Slices = *slices
 	cfg.Sockets = *sockets
 	cfg.Workers = *workers
-	if *group < 1 {
-		log.Fatalf("-group %d: need at least one slice per replica group", *group)
+	if err := validateSizes(*group, *maxBatch); err != nil {
+		log.Fatal(err)
 	}
 	if *group != 1 {
 		// Reflect the grouping in the facade config so the echoed
@@ -638,13 +638,9 @@ func fillLoad(load *serve.Load, be serve.Backend, opts serve.Options, defaultReq
 		load.Requests = defaultRequests
 	}
 	if load.Rate == 0 && load.Concurrency == 0 {
-		maxBatch := opts.MaxBatch
-		if maxBatch <= 0 {
-			maxBatch = 1
-		}
 		// -group feeds Config.GroupSize above, so the system's own group
 		// accounting applies (Options.GroupSize 0 defaults to it too).
-		st, err := be.ServiceTime("", maxBatch, be.System().GroupSize())
+		st, err := be.ServiceTime("", opts.MaxBatch, be.System().GroupSize())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -652,7 +648,7 @@ func fillLoad(load *serve.Load, be serve.Backend, opts serve.Options, defaultReq
 		if replicas == 0 {
 			replicas = be.System().ReplicaGroups()
 		}
-		load.Rate = 2 * float64(replicas*maxBatch) / st.Seconds()
+		load.Rate = 2 * float64(replicas*opts.MaxBatch) / st.Seconds()
 	}
 }
 

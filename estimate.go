@@ -1,6 +1,8 @@
 package neuralcache
 
 import (
+	"time"
+
 	"neuralcache/internal/baseline"
 	"neuralcache/internal/core"
 )
@@ -143,14 +145,13 @@ func (s *System) EstimateDensity(m *Model, batch int, density float64) (*Estimat
 // engine; every call replays the kept walk at batch and density, with
 // results identical to a fresh System's.
 func (s *System) EstimateReplicaGroupDensity(m *Model, batch, k int, density float64) (*Estimate, error) {
-	sys, err := s.replicaGroup(k)
-	if err != nil {
-		return nil, err
+	s.groups.Lock()
+	e, err := s.prices(m, k)
+	var p *core.Priced
+	if err == nil {
+		p, err = e.walked(m, batch, density)
 	}
-	if err := core.CheckBatch(batch, density); err != nil {
-		return nil, err
-	}
-	p, err := s.replicaGroupWalk(sys, m, k)
+	s.groups.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -159,6 +160,57 @@ func (s *System) EstimateReplicaGroupDensity(m *Model, batch, k int, density flo
 		return nil, err
 	}
 	return newEstimate(rep), nil
+}
+
+// ServiceTime returns how long a warm batch of m holds a k-slice
+// replica group: EstimateReplicaGroup's latency as a time.Duration, at
+// least 1 ns. It is the clock package serve dispatches on and package
+// plan predicts with. The System keeps every service time it prices,
+// so a repeated call allocates nothing. Errors come in
+// EstimateReplicaGroup's order: group size, batch, then the walk's.
+func (s *System) ServiceTime(m *Model, batch, k int) (time.Duration, error) {
+	s.groups.Lock()
+	defer s.groups.Unlock()
+	e, err := s.prices(m, k)
+	if err != nil {
+		return 0, err
+	}
+	if d, ok := e.service[batch]; ok {
+		return d, nil
+	}
+	p, err := e.walked(m, batch, 1)
+	if err != nil {
+		return 0, err
+	}
+	rep, err := p.Report(batch, 1)
+	if err != nil {
+		return 0, err
+	}
+	d := max(time.Duration(rep.Latency()*float64(time.Second)), time.Nanosecond)
+	e.service[batch] = d
+	return d, nil
+}
+
+// ReloadTime returns how long staging m's weights holds a k-slice
+// replica group: EstimateReloadGroup's seconds as a time.Duration, at
+// least 0. A reload prices without walking the network, so it succeeds
+// for a model whose walk fails. The System keeps the price, so a
+// repeated call allocates nothing.
+func (s *System) ReloadTime(m *Model, k int) (time.Duration, error) {
+	s.groups.Lock()
+	defer s.groups.Unlock()
+	e, err := s.prices(m, k)
+	if err != nil {
+		return 0, err
+	}
+	if !e.reloaded {
+		rel, err := e.sys.EstimateReload(m.net)
+		if err != nil {
+			return 0, err
+		}
+		e.reload, e.reloaded = max(time.Duration(rel.Seconds*float64(time.Second)), 0), true
+	}
+	return e.reload, nil
 }
 
 // ReloadEstimate prices staging a model's filters onto a replica group
@@ -188,7 +240,9 @@ func (s *System) EstimateReload(m *Model) (*ReloadEstimate, error) {
 // EstimateReloadGroup prices the model switch onto a k-slice replica
 // group, independent of the configured GroupSize. k must divide Slices.
 func (s *System) EstimateReloadGroup(m *Model, k int) (*ReloadEstimate, error) {
+	s.groups.Lock()
 	sys, err := s.replicaGroup(k)
+	s.groups.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package neuralcache
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -87,7 +88,9 @@ func TestReplicaGroupWalksMatchFreshSystems(t *testing.T) {
 
 // TestReplicaGroupEstimateErrors checks that a kept walk leaves the
 // error order alone: group size, then batch, then density, then the
-// walk's own errors.
+// walk's own errors. ServiceTime, which prices no density, keeps the
+// same order, and ReloadTime prices without walking: without filter
+// packing Inception-v3 does not map, yet its reload prices.
 func TestReplicaGroupEstimateErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FilterPacking = false
@@ -96,15 +99,16 @@ func TestReplicaGroupEstimateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := InceptionV3()
+	const walk = "mapping: Mixed_6b/conv_30 needs 1024 lanes per convolution, exceeding an array pair (512)"
 	for _, c := range []struct {
-		batch, k int
-		density  float64
-		want     string
+		batch, k      int
+		density       float64
+		want, service string
 	}{
-		{0, 3, 0, "core: replica group of 3 slices does not divide the 14-slice cache"},
-		{0, 1, 0, "core: batch size 0"},
-		{1, 1, 0, "core: slice density 0 outside (0, 1]"},
-		{1, 1, 1, "mapping: Mixed_6b/conv_30 needs 1024 lanes per convolution, exceeding an array pair (512)"},
+		{0, 3, 0, "core: replica group of 3 slices does not divide the 14-slice cache", "core: replica group of 3 slices does not divide the 14-slice cache"},
+		{0, 1, 0, "core: batch size 0", "core: batch size 0"},
+		{1, 1, 0, "core: slice density 0 outside (0, 1]", walk},
+		{1, 1, 1, walk, walk},
 	} {
 		// Twice: the failed walk is not kept.
 		for i := 0; i < 2; i++ {
@@ -112,7 +116,20 @@ func TestReplicaGroupEstimateErrors(t *testing.T) {
 			if err == nil || err.Error() != c.want {
 				t.Errorf("batch %d, k %d, density %g: error %v, want %q", c.batch, c.k, c.density, err, c.want)
 			}
+			if _, err := sys.ServiceTime(m, c.batch, c.k); err == nil || err.Error() != c.service {
+				t.Errorf("ServiceTime batch %d, k %d: error %v, want %q", c.batch, c.k, err, c.service)
+			}
 		}
+	}
+	if _, err := sys.ReloadTime(m, 3); err == nil {
+		t.Error("ReloadTime accepted a non-divisor group size")
+	}
+	rel, err := sys.ReloadTime(m, 1)
+	if err != nil {
+		t.Fatalf("ReloadTime without filter packing: %v", err)
+	}
+	if got := rel.Seconds(); math.Abs(got-0.01287) > 5e-6 {
+		t.Errorf("Inception-v3 reload %v, want 0.01287 s", rel)
 	}
 }
 

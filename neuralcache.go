@@ -31,10 +31,11 @@
 // model's weights each group has staged, dispatches warm-first, and
 // charges the §IV-E filter DRAM stream when a group switches models —
 // one reload warms the whole group. System.ReplicaGroups and
-// System.EstimateReplica expose the per-group service-time model the
-// scheduler prices dispatches with (System.EstimateReplicaGroup for an
-// explicit k), System.EstimateReload the weight-reload cost of a model
-// switch; serve.SweepGroups walks the Table IV-style group-size
+// System.EstimateReplica expose the per-group service-time model
+// (System.EstimateReplicaGroup for an explicit k), System.EstimateReload
+// the weight-reload cost of a model switch, and System.ServiceTime and
+// System.ReloadTime the same two prices as the durations the scheduler
+// dispatches on; serve.SweepGroups walks the Table IV-style group-size
 // frontier. Package neuralcache/plan turns those estimates into
 // residency decisions ahead of traffic: plan.Compute sizes per-model
 // warm sets from mix weights, plan.CoSelect searches the group size
@@ -76,6 +77,7 @@ package neuralcache
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"neuralcache/internal/core"
 	"neuralcache/internal/geometry"
@@ -133,22 +135,35 @@ type System struct {
 	core *core.System
 
 	// groups caches the shrunken k-slice replica-group engines
-	// (core.Config.ReplicaGroup), and each engine's walk of every model
-	// it has priced; the configured GroupSize is built eagerly in New,
-	// other divisors and every walk lazily on first use.
+	// (core.Config.ReplicaGroup) and, for every model an engine has
+	// priced, its walk and its service and reload times; the configured
+	// GroupSize's engine is built eagerly in New, other divisors and
+	// every price lazily on first use.
 	groups struct {
 		sync.Mutex
 		byK    map[int]*core.System
-		priced map[pricedKey]*core.Priced
+		priced map[pricedKey]*groupPrices
 	}
 }
 
-// pricedKey names one walk: a model on a k-slice replica-group engine.
-// A Model's shape never changes after construction, so its pointer
-// keys every batch size and density of it.
+// pricedKey names a model on a k-slice replica-group engine. A Model's
+// shape never changes after construction, so its pointer keys every
+// batch size and density of it.
 type pricedKey struct {
 	k int
 	m *Model
+}
+
+// groupPrices is what a System keeps of one model on one k-slice
+// engine: the walk every batch replays (nil until an estimate or
+// service time needs it; a failed walk is not kept), the service time
+// of each batch size priced so far, and the reload time once priced.
+type groupPrices struct {
+	sys      *core.System
+	walk     *core.Priced
+	service  map[int]time.Duration
+	reload   time.Duration
+	reloaded bool
 }
 
 // New builds a system.
@@ -181,7 +196,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s := &System{cfg: cfg, core: sys}
 	s.groups.byK = make(map[int]*core.System)
-	s.groups.priced = make(map[pricedKey]*core.Priced)
+	s.groups.priced = make(map[pricedKey]*groupPrices)
 	if _, err := s.replicaGroup(s.GroupSize()); err != nil {
 		return nil, err
 	}
@@ -189,10 +204,9 @@ func New(cfg Config) (*System, error) {
 }
 
 // replicaGroup returns (building and caching on first use) the k-slice
-// single-socket engine that prices replica-group dispatches.
+// single-socket engine that prices replica-group dispatches. Callers
+// hold s.groups, or own s alone.
 func (s *System) replicaGroup(k int) (*core.System, error) {
-	s.groups.Lock()
-	defer s.groups.Unlock()
 	if sys, ok := s.groups.byK[k]; ok {
 		return sys, nil
 	}
@@ -208,21 +222,36 @@ func (s *System) replicaGroup(k int) (*core.System, error) {
 	return sys, nil
 }
 
-// replicaGroupWalk returns m's walk on the k-slice engine sys, walking
-// it on first use.
-func (s *System) replicaGroupWalk(sys *core.System, m *Model, k int) (*core.Priced, error) {
-	s.groups.Lock()
-	defer s.groups.Unlock()
+// prices returns m's entry on the k-slice engine, building the engine
+// and the entry on first use. Callers hold s.groups.
+func (s *System) prices(m *Model, k int) (*groupPrices, error) {
 	key := pricedKey{k: k, m: m}
-	if p, ok := s.groups.priced[key]; ok {
-		return p, nil
+	if e, ok := s.groups.priced[key]; ok {
+		return e, nil
 	}
-	p, err := sys.Price(m.net)
+	sys, err := s.replicaGroup(k)
 	if err != nil {
 		return nil, err
 	}
-	s.groups.priced[key] = p
-	return p, nil
+	e := &groupPrices{sys: sys, service: make(map[int]time.Duration)}
+	s.groups.priced[key] = e
+	return e, nil
+}
+
+// walked checks batch and density, then returns m's walk, walking it on
+// first use. Callers hold the System's groups.
+func (e *groupPrices) walked(m *Model, batch int, density float64) (*core.Priced, error) {
+	if err := core.CheckBatch(batch, density); err != nil {
+		return nil, err
+	}
+	if e.walk == nil {
+		p, err := e.sys.Price(m.net)
+		if err != nil {
+			return nil, err
+		}
+		e.walk = p
+	}
+	return e.walk, nil
 }
 
 // Config returns the facade configuration.

@@ -37,7 +37,7 @@ type ControllerConfig struct {
 	Threshold float64
 	// HalfLife is the decay half-life of the served-mix EWMA: an
 	// observation's influence halves every HalfLife of (virtual or
-	// wall) clock. Default 500ms.
+	// wall) clock. Default DefaultHalfLife.
 	HalfLife time.Duration
 	// MinInterval is the minimum time between re-plans, damping
 	// oscillation. Default 2 × HalfLife.
@@ -55,7 +55,7 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 		return c, fmt.Errorf("plan: replan threshold %v outside [0, 1]", c.Threshold)
 	}
 	if c.HalfLife == 0 {
-		c.HalfLife = 500 * time.Millisecond
+		c.HalfLife = DefaultHalfLife
 	}
 	if c.HalfLife < 0 {
 		return c, fmt.Errorf("plan: EWMA half-life %v", c.HalfLife)
@@ -75,6 +75,68 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 	return c, nil
 }
 
+// DefaultHalfLife is the decay half-life of a DecayedMix when none is
+// configured.
+const DefaultHalfLife = 500 * time.Millisecond
+
+// DecayedMix is a time-decayed EWMA of per-model request mass: an
+// observation's influence halves every half-life of (virtual or wall)
+// clock. The Controller tracks the served mix with one, and package
+// cluster the fleet's offered mix. The clock handed to Add must be
+// monotone. Not safe for concurrent use.
+type DecayedMix struct {
+	halfLife time.Duration
+	mass     []float64
+	last     time.Duration
+}
+
+// NewDecayedMix returns an empty mix over the given number of models.
+func NewDecayedMix(models int, halfLife time.Duration) *DecayedMix {
+	return &DecayedMix{halfLife: halfLife, mass: make([]float64, models)}
+}
+
+// Add ages the mix to clock time now and adds n requests of model i.
+func (d *DecayedMix) Add(i int, n float64, now time.Duration) {
+	d.decay(now)
+	d.mass[i] += n
+}
+
+// decay ages the mix to clock time now.
+func (d *DecayedMix) decay(now time.Duration) {
+	if now <= d.last {
+		return
+	}
+	f := math.Exp2(-float64(now-d.last) / float64(d.halfLife))
+	for i := range d.mass {
+		d.mass[i] *= f
+	}
+	d.last = now
+}
+
+// total returns the decayed request mass of every model.
+func (d *DecayedMix) total() float64 {
+	total := 0.0
+	for _, n := range d.mass {
+		total += n
+	}
+	return total
+}
+
+// Shares returns the normalized mix as Shares of models, in order, or
+// nil while the mix holds no mass. Uniform decay scales every model's
+// mass alike, so the shares do not depend on when they are read.
+func (d *DecayedMix) Shares(models []*neuralcache.Model) []Share {
+	total := d.total()
+	if total <= 0 {
+		return nil
+	}
+	out := make([]Share, len(models))
+	for i, m := range models {
+		out[i] = Share{Model: m.Name(), Weight: d.mass[i] / total}
+	}
+	return out
+}
+
 // Controller is the online drift controller: it tracks the served mix
 // with a time-decayed EWMA and, when the mix drifts beyond the
 // configured threshold from the active plan's, recomputes the warm-set
@@ -84,15 +146,14 @@ func (c ControllerConfig) withDefaults() (ControllerConfig, error) {
 // whole control loop deterministic).
 type Controller struct {
 	mu      sync.Mutex
-	pr      *pricer
+	sys     *neuralcache.System
 	models  []*neuralcache.Model
 	index   map[string]int
 	cfg     ControllerConfig
 	opts    Options
 	current *Plan
 
-	counts     []float64 // decayed per-model served-request mass
-	lastObs    time.Duration
+	mix        *DecayedMix // the served mix
 	lastReplan time.Duration
 }
 
@@ -114,12 +175,12 @@ func NewController(sys *neuralcache.System, models []*neuralcache.Model, current
 		return nil, fmt.Errorf("plan: controller got %d models for a %d-model plan", len(models), len(current.Models))
 	}
 	ctrl := &Controller{
-		pr:      newPricer(sys),
+		sys:     sys,
 		models:  models,
 		index:   make(map[string]int, len(models)),
 		cfg:     c,
 		current: current,
-		counts:  make([]float64, len(models)),
+		mix:     NewDecayedMix(len(models), c.HalfLife),
 	}
 	for i, m := range models {
 		if m == nil || m.Name() != current.Models[i].Model {
@@ -145,20 +206,7 @@ func (c *Controller) Observe(model string, n int, now time.Duration) {
 	if !ok || n <= 0 {
 		return
 	}
-	c.decay(now)
-	c.counts[i] += float64(n)
-}
-
-// decay ages the EWMA to clock time now; callers hold mu.
-func (c *Controller) decay(now time.Duration) {
-	if now <= c.lastObs {
-		return
-	}
-	f := math.Exp2(-float64(now-c.lastObs) / float64(c.cfg.HalfLife))
-	for i := range c.counts {
-		c.counts[i] *= f
-	}
-	c.lastObs = now
+	c.mix.Add(i, float64(n), now)
 }
 
 // Drift returns the total-variation distance between the active plan's
@@ -179,31 +227,17 @@ func (c *Controller) Drift() float64 {
 func (c *Controller) Observed() []Share {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mass := 0.0
-	for _, n := range c.counts {
-		mass += n
-	}
-	if mass <= 0 {
-		return nil
-	}
-	out := make([]Share, len(c.models))
-	for i, m := range c.models {
-		out[i] = Share{Model: m.Name(), Weight: c.counts[i] / mass}
-	}
-	return out
+	return c.mix.Shares(c.models)
 }
 
 func (c *Controller) drift() float64 {
-	mass := 0.0
-	for _, n := range c.counts {
-		mass += n
-	}
+	mass := c.mix.total()
 	if mass <= 0 {
 		return 0
 	}
 	tv := 0.0
 	for i, mp := range c.current.Models {
-		tv += math.Abs(mp.Weight - c.counts[i]/mass)
+		tv += math.Abs(mp.Weight - c.mix.mass[i]/mass)
 	}
 	return tv / 2
 }
@@ -217,22 +251,19 @@ func (c *Controller) drift() float64 {
 func (c *Controller) MaybeReplan(now time.Duration) (*Plan, []Restage, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.decay(now)
-	mass := 0.0
-	for _, n := range c.counts {
-		mass += n
-	}
+	c.mix.decay(now)
+	mass := c.mix.total()
 	if mass < c.cfg.MinObservations || now-c.lastReplan < c.cfg.MinInterval {
 		return nil, nil, false
 	}
 	if c.drift() <= c.cfg.Threshold {
 		return nil, nil, false
 	}
-	weights := make([]float64, len(c.counts))
-	for i, n := range c.counts {
+	weights := make([]float64, len(c.mix.mass))
+	for i, n := range c.mix.mass {
 		weights[i] = n / mass
 	}
-	next, ops, err := rebalance(c.pr, c.models, c.current, weights, c.opts)
+	next, ops, err := rebalance(c.sys, c.models, c.current, weights, c.opts)
 	if err != nil {
 		return nil, nil, false
 	}
@@ -241,29 +272,12 @@ func (c *Controller) MaybeReplan(now time.Duration) (*Plan, []Restage, bool) {
 	return next, ops, true
 }
 
-// Rebalance recomputes the warm-set split for a new mix at the old
-// plan's group size, moving as few groups as possible: each model keeps
-// its currently pinned groups up to its new warm-set size, and only the
-// difference is restaged. It returns the new plan and the restage
-// operations that realize it.
-func Rebalance(sys *neuralcache.System, models []*neuralcache.Model, old *Plan, mix []Share) (*Plan, []Restage, error) {
-	if old == nil {
-		return nil, nil, fmt.Errorf("plan: rebalance without a plan")
-	}
-	weights, err := Normalize(models, mix)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := Options{
-		GroupSize:  old.GroupSize,
-		MaxBatch:   old.MaxBatch,
-		RatePerSec: old.RatePerSec,
-		Overflow:   len(old.Overflow),
-	}
-	return rebalance(newPricer(sys), models, old, weights, opts)
-}
-
-func rebalance(pr *pricer, models []*neuralcache.Model, old *Plan, weights []float64, opts Options) (*Plan, []Restage, error) {
+// rebalance recomputes the warm-set split for new mix weights at the
+// old plan's group size, moving as few groups as possible: each model
+// keeps its currently pinned groups up to its new warm-set size, and
+// only the difference is restaged. It returns the new plan and the
+// restage operations that realize it.
+func rebalance(sys *neuralcache.System, models []*neuralcache.Model, old *Plan, weights []float64, opts Options) (*Plan, []Restage, error) {
 	if len(models) != len(old.Models) {
 		return nil, nil, fmt.Errorf("plan: rebalance got %d models for a %d-model plan", len(models), len(old.Models))
 	}
@@ -295,7 +309,7 @@ func rebalance(pr *pricer, models []*neuralcache.Model, old *Plan, weights []flo
 		}
 	}
 	overflow := append([]int(nil), pool...)
-	next, err := build(pr, models, weights, assign, overflow, old.Groups, opts)
+	next, err := build(sys, models, weights, assign, overflow, old.Groups, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -306,7 +320,7 @@ func rebalance(pr *pricer, models []*neuralcache.Model, old *Plan, weights []flo
 			if oldPinned[g] == m.Name() {
 				continue
 			}
-			cost, err := pr.reload(m, old.GroupSize)
+			cost, err := sys.ReloadTime(m, old.GroupSize)
 			if err != nil {
 				return nil, nil, err
 			}

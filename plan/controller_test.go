@@ -147,31 +147,33 @@ func TestReplanKeepsEveryModelServable(t *testing.T) {
 	}
 }
 
-// TestRebalanceExported covers the standalone Rebalance entry point and
-// its determinism.
-func TestRebalanceExported(t *testing.T) {
+// TestRebalance covers the re-plan step the controller runs: it is
+// deterministic, keeps the group geometry, and moves nothing for an
+// undrifted mix.
+func TestRebalance(t *testing.T) {
 	sys := newSystem(t)
 	models := twoModels()
 	old, err := Compute(sys, models, shares(0.8, 0.2), Options{GroupSize: 7, MaxBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, ops, err := Rebalance(sys, models, old, shares(0.2, 0.8))
+	opts := Options{GroupSize: old.GroupSize, MaxBatch: old.MaxBatch}
+	next, ops, err := rebalance(sys, models, old, []float64{0.2, 0.8}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next2, ops2, err := Rebalance(sys, models, old, shares(0.2, 0.8))
+	next2, ops2, err := rebalance(sys, models, old, []float64{0.2, 0.8}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(next, next2) || !reflect.DeepEqual(ops, ops2) {
-		t.Fatal("Rebalance is not deterministic")
+		t.Fatal("rebalance is not deterministic")
 	}
 	if next.GroupSize != old.GroupSize || next.Groups != old.Groups {
 		t.Fatalf("rebalance changed the group geometry: %+v", next)
 	}
 	// An unchanged mix needs no ops.
-	same, ops, err := Rebalance(sys, models, old, shares(0.8, 0.2))
+	same, ops, err := rebalance(sys, models, old, []float64{0.8, 0.2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +182,6 @@ func TestRebalanceExported(t *testing.T) {
 	}
 	if !reflect.DeepEqual(same.Pinned(), old.Pinned()) {
 		t.Fatal("no-drift rebalance moved groups")
-	}
-	if _, _, err := Rebalance(sys, models, nil, shares(1, 1)); err == nil {
-		t.Fatal("Rebalance accepted a nil plan")
 	}
 }
 

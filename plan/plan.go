@@ -15,8 +15,8 @@
 //     ReplicaGroups(k) ≥ Σ warm-set sizes), with per-model predicted
 //     batch service, capacity and queueing-aware p99, the worst-case
 //     cold-start latency (reload + batch service) and the cost of
-//     staging the plan from empty — all priced by
-//     System.EstimateReplicaGroup / System.EstimateReloadGroup.
+//     staging the plan from empty — all priced by System.ServiceTime /
+//     System.ReloadTime, the clock the serve backends dispatch on.
 //   - CoSelect searches k over the divisors of the slice count
 //     (System.GroupSizes) and returns the plan minimizing predicted
 //     p99. Group size is workload-dependent — bigger groups serve each
@@ -297,59 +297,6 @@ func apportion(weights []float64, total int, floorAll bool) ([]int, error) {
 	return counts, nil
 }
 
-// pricer memoizes the analytic batch-service and reload estimates per
-// (model, batch, group size), rounded exactly as the serve backends
-// round them, so plan predictions line up with the simulator's clock.
-// Not safe for concurrent use; the Controller serializes access.
-type pricer struct {
-	sys *neuralcache.System
-	svc map[priceKey]time.Duration
-	rel map[priceKey]time.Duration
-}
-
-type priceKey struct {
-	model string
-	n, k  int
-}
-
-func newPricer(sys *neuralcache.System) *pricer {
-	return &pricer{sys: sys, svc: make(map[priceKey]time.Duration), rel: make(map[priceKey]time.Duration)}
-}
-
-func (p *pricer) service(m *neuralcache.Model, n, k int) (time.Duration, error) {
-	key := priceKey{model: m.Name(), n: n, k: k}
-	if d, ok := p.svc[key]; ok {
-		return d, nil
-	}
-	est, err := p.sys.EstimateReplicaGroup(m, n, k)
-	if err != nil {
-		return 0, err
-	}
-	d := time.Duration(est.LatencySeconds * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	p.svc[key] = d
-	return d, nil
-}
-
-func (p *pricer) reload(m *neuralcache.Model, k int) (time.Duration, error) {
-	key := priceKey{model: m.Name(), k: k}
-	if d, ok := p.rel[key]; ok {
-		return d, nil
-	}
-	rel, err := p.sys.EstimateReloadGroup(m, k)
-	if err != nil {
-		return 0, err
-	}
-	d := time.Duration(rel.Seconds * float64(time.Second))
-	if d < 0 {
-		d = 0
-	}
-	p.rel[key] = d
-	return d, nil
-}
-
 // Compute plans residency at a fixed group size: it normalizes the mix,
 // apportions the replica groups (minus Options.Overflow) across the
 // active models proportionally to their weights, assigns contiguous
@@ -386,12 +333,12 @@ func Compute(sys *neuralcache.System, models []*neuralcache.Model, mix []Share, 
 	for ; next < total; next++ {
 		overflow = append(overflow, next)
 	}
-	return build(newPricer(sys), models, weights, assign, overflow, total, o)
+	return build(sys, models, weights, assign, overflow, total, o)
 }
 
 // build assembles a Plan from a finished group assignment, pricing the
-// per-model predictions.
-func build(pr *pricer, models []*neuralcache.Model, weights []float64, assign [][]int, overflow []int, total int, o Options) (*Plan, error) {
+// per-model predictions on the System's clock.
+func build(sys *neuralcache.System, models []*neuralcache.Model, weights []float64, assign [][]int, overflow []int, total int, o Options) (*Plan, error) {
 	p := &Plan{
 		GroupSize:  o.GroupSize,
 		Groups:     total,
@@ -400,11 +347,11 @@ func build(pr *pricer, models []*neuralcache.Model, weights []float64, assign []
 		Overflow:   overflow,
 	}
 	for i, m := range models {
-		svc, err := pr.service(m, o.MaxBatch, o.GroupSize)
+		svc, err := sys.ServiceTime(m, o.MaxBatch, o.GroupSize)
 		if err != nil {
 			return nil, err
 		}
-		rel, err := pr.reload(m, o.GroupSize)
+		rel, err := sys.ReloadTime(m, o.GroupSize)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"neuralcache"
@@ -33,8 +32,9 @@ type Backend interface {
 	// ServiceTime returns the modeled wall-clock a replica group of
 	// groupSize slices is occupied serving a warm batch of n requests of
 	// the named model. It must be deterministic: the same (model, n,
-	// groupSize) always yields the same duration, and implementations
-	// pre-price per key so repeated dispatches cost a map hit. Once it
+	// groupSize) always yields the same duration. The node core prices
+	// every dispatch, so it should be cheap to repeat; both backends
+	// here read System.ServiceTime, which keeps each price. Once it
 	// prices n = 1 it must price every batch size: NewServer checks
 	// n = 1, and the node core prices each batch after taking it from
 	// the queue.
@@ -52,40 +52,17 @@ type Backend interface {
 	Execute(ctx context.Context, model string, inputs []*neuralcache.Tensor, cold bool, groupSize int) ([]*neuralcache.InferenceResult, error)
 }
 
-// serviceClock holds the model registry and prices batch service and
-// reload times via System.EstimateReplicaGroup /
-// System.EstimateReloadGroup, memoizing per (model, batch size, group
-// size). A load run costs one replay per distinct key rather than one
-// per dispatch, on one walk per model and group size that the System
-// keeps.
+// serviceClock holds the model registry and reads batch service and
+// reload times from System.ServiceTime and System.ReloadTime, which
+// keep every price they compute.
 type serviceClock struct {
 	sys    *neuralcache.System
 	models []*neuralcache.Model
 	byName map[string]*neuralcache.Model
-
-	mu      sync.Mutex
-	svc     map[svcKey]time.Duration
-	reloads map[reloadKey]time.Duration
-}
-
-type svcKey struct {
-	model string
-	n     int
-	group int
-}
-
-type reloadKey struct {
-	model string
-	group int
 }
 
 func newServiceClock(sys *neuralcache.System, first *neuralcache.Model, more []*neuralcache.Model) *serviceClock {
-	c := &serviceClock{
-		sys:     sys,
-		byName:  make(map[string]*neuralcache.Model),
-		svc:     make(map[svcKey]time.Duration),
-		reloads: make(map[reloadKey]time.Duration),
-	}
+	c := &serviceClock{sys: sys, byName: make(map[string]*neuralcache.Model)}
 	for _, m := range append([]*neuralcache.Model{first}, more...) {
 		if m == nil {
 			panic("serve: nil model registered")
@@ -125,22 +102,7 @@ func (c *serviceClock) ServiceTime(model string, n, groupSize int) (time.Duratio
 	if err != nil {
 		return 0, err
 	}
-	key := svcKey{model: m.Name(), n: n, group: groupSize}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.svc[key]; ok {
-		return d, nil
-	}
-	est, err := c.sys.EstimateReplicaGroup(m, n, groupSize)
-	if err != nil {
-		return 0, err
-	}
-	d := time.Duration(est.LatencySeconds * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	c.svc[key] = d
-	return d, nil
+	return c.sys.ServiceTime(m, n, groupSize)
 }
 
 func (c *serviceClock) ReloadTime(model string, groupSize int) (time.Duration, error) {
@@ -148,22 +110,7 @@ func (c *serviceClock) ReloadTime(model string, groupSize int) (time.Duration, e
 	if err != nil {
 		return 0, err
 	}
-	key := reloadKey{model: m.Name(), group: groupSize}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.reloads[key]; ok {
-		return d, nil
-	}
-	rel, err := c.sys.EstimateReloadGroup(m, groupSize)
-	if err != nil {
-		return 0, err
-	}
-	d := time.Duration(rel.Seconds * float64(time.Second))
-	if d < 0 {
-		d = 0
-	}
-	c.reloads[key] = d
-	return d, nil
+	return c.sys.ReloadTime(m, groupSize)
 }
 
 // BitExactBackend serves requests by executing the model bit-accurately

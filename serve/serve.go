@@ -75,10 +75,10 @@
 //     directly, for any batching, shard assignment, model mix or worker
 //     count.
 //   - NewAnalyticBackend services requests on service times priced by
-//     System.EstimateReplicaGroup — the cost of the batch on a k-slice,
-//     single-socket shard of the cache — plus the matching reload
-//     estimate on cold dispatches. Both are memoized per (model, batch,
-//     group size).
+//     System.ServiceTime — the cost of the batch on a k-slice,
+//     single-socket shard of the cache — plus System.ReloadTime on cold
+//     dispatches. The System keeps both prices, and both backends read
+//     them, so every dispatch runs on the same clock.
 //
 // Two drivers consume a Backend. Both run the node scheduling core —
 // the one cluster.Simulate runs on every fleet node (package

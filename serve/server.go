@@ -54,7 +54,6 @@ type request struct {
 	id    uint64
 	input *neuralcache.Tensor
 	ctx   context.Context
-	at    time.Duration  // admission, since the server started
 	resp  chan *Response // buffered, capacity 1
 }
 
@@ -252,7 +251,8 @@ func (s *Server) tick() {
 type driver Server
 
 // Dispatched hands a batch the node formed to an executor goroutine,
-// with the requests at the head of its model's FIFO.
+// with the requests at the head of its model's FIFO: the batch's
+// Arrivals are their admission times, in the same order.
 func (d *driver) Dispatched(n *node.Node, b node.Batch) {
 	s := (*Server)(d)
 	q := s.fifo[b.Model]
@@ -296,7 +296,7 @@ func (s *Server) execute(b node.Batch, seq int, reqs []*request) {
 	for i, r := range reqs {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			now := s.now()
-			resps[i] = &Response{ID: r.id, Model: model, Err: r.ctx.Err(), Shard: NoShard, Queued: now - r.at}
+			resps[i] = &Response{ID: r.id, Model: model, Err: r.ctx.Err(), Shard: NoShard, Queued: now - b.Arrivals[i]}
 			s.tracer.cancel(model, now)
 			continue
 		}
@@ -341,9 +341,9 @@ func (s *Server) execute(b node.Batch, seq int, reqs []*request) {
 	s.schedule()
 	s.mu.Unlock()
 	if s.tracer != nil {
-		for i, r := range reqs {
+		for i := range reqs {
 			if resps[i] == nil {
-				s.tracer.queued(model, r.at, b.At, seq)
+				s.tracer.queued(model, b.Arrivals[i], b.At, seq)
 			}
 		}
 		// The wall clock cannot split the measured span into reload and
@@ -365,8 +365,8 @@ func (s *Server) execute(b node.Batch, seq int, reqs []*request) {
 				Shard:     shardFor(b.Group, s.slices, s.opts.GroupSize),
 				BatchSize: n,
 				Cold:      !b.Warm,
-				Queued:    b.At - r.at,
-				Latency:   done - r.at,
+				Queued:    b.At - b.Arrivals[i],
+				Latency:   done - b.Arrivals[i],
 				Err:       err,
 			}
 			if err == nil && results != nil {
@@ -521,8 +521,8 @@ func (s *Server) submit(ctx context.Context, model string, in *neuralcache.Tenso
 		}
 		s.cond.Wait()
 	}
-	req := &request{id: s.nextID.Add(1), input: in, ctx: ctx, at: s.now(), resp: make(chan *Response, 1)}
-	s.node.Enqueue(mi, req.at, -1, 0)
+	req := &request{id: s.nextID.Add(1), input: in, ctx: ctx, resp: make(chan *Response, 1)}
+	s.node.Enqueue(mi, s.now(), -1, 0)
 	s.fifo[mi] = append(s.fifo[mi], req)
 	s.submitted++
 	s.depthSum += int64(s.node.Depth())

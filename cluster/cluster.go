@@ -28,8 +28,9 @@
 //     queues, micro-batching, warm-first and plan-aware group claims,
 //     restages), with its own plan.Controller re-planning for the
 //     traffic the router sends it — a cluster of one node is a
-//     serve.Simulate node. A cluster-level mix observer tracks the
-//     offered mix so joining nodes warm up against current traffic.
+//     serve.Simulate node. When a scenario rejoins a planned node, a
+//     cluster-level mix observer tracks the offered mix so the node
+//     warms up against current traffic.
 //   - New builds the wall-clock front door over real serve.Servers
 //     (cluster.Cluster): SubmitModel routes live requests, Drain/Join
 //     rotate nodes out and in.

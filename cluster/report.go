@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"neuralcache/internal/node"
 	"neuralcache/internal/report"
 	"neuralcache/obs"
 )
@@ -117,23 +118,24 @@ type Report struct {
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 }
 
-// percentile returns sorted[int(p/100·n+0.5)−1], clamped: the rank
-// p/100·n rounded half up. Serve's nearest-rank rule takes ⌈p/100·n⌉−1
-// instead, so the two differ when p/100·n has a fraction below one half
-// (first at n = 6, p = 90: the 5th sample here, the 6th in serve). The
-// golden cluster report pins this rule.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
+// percentile returns the sample of rank int(p/100·n+0.5)−1, clamped:
+// the rank p/100·n rounded half up. Serve's nearest-rank rule takes
+// ⌈p/100·n⌉−1 instead, so the two differ when p/100·n has a fraction
+// below one half (first at n = 6, p = 90: the 5th sample here, the 6th
+// in serve). The golden cluster report pins this rule. It reorders
+// samples (node.Rank).
+func percentile(samples []time.Duration, p float64) time.Duration {
+	if len(samples) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	rank := int(p/100*float64(len(samples))+0.5) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
+	if rank >= len(samples) {
+		rank = len(samples) - 1
 	}
-	return sorted[rank]
+	return node.Rank(samples, rank)
 }
 
 // nodeCapacity is the node's Estimate-derived throughput bound,
@@ -229,7 +231,6 @@ func (s *sim) report() (*Report, error) {
 			nr.Utilization = n.busy.Seconds() / (makespan.Seconds() * float64(n.spec.Replicas))
 		}
 		lat := perNode[ni]
-		slices.Sort(lat)
 		nr.P50 = percentile(lat, 50)
 		nr.P99 = percentile(lat, 99)
 		r.Nodes = append(r.Nodes, nr)
@@ -253,12 +254,11 @@ func (s *sim) report() (*Report, error) {
 		r.ThroughputPerSec = float64(s.served) / makespan.Seconds()
 	}
 	all := s.latencies.All
-	slices.Sort(all)
 	r.P50 = percentile(all, 50)
 	r.P90 = percentile(all, 90)
 	r.P99 = percentile(all, 99)
 	if len(all) > 0 {
-		r.Max = all[len(all)-1]
+		r.Max = slices.Max(all)
 	}
 	for mi, st := range s.perModel {
 		if st.offered == 0 && st.served == 0 && st.rejected == 0 && st.lost == 0 {
@@ -280,7 +280,6 @@ func (s *sim) report() (*Report, error) {
 			}
 		}
 		lat := perModel[mi]
-		slices.Sort(lat)
 		mu.P50 = percentile(lat, 50)
 		mu.P99 = percentile(lat, 99)
 		r.PerModel = append(r.PerModel, mu)

@@ -7,9 +7,11 @@ import (
 )
 
 // NodeView is the read-only state a Router sees for one node at routing
-// time. Views are refreshed for every decision, and the slice holding
-// them is valid only during Pick: the simulator reuses it for the next
-// arrival, so a router must copy what it keeps.
+// time. The slice holding the views is valid only during Pick: the
+// simulator refreshes the load fields (Accepting, QueueDepth,
+// BusyGroups) in place for every arrival and writes the others once per
+// run, so a router must copy what it keeps and must never modify a
+// view.
 type NodeView struct {
 	// Index is the node's ordinal in the cluster's node list — the value
 	// Pick returns to route there.
@@ -47,7 +49,7 @@ func (v NodeView) load() float64 {
 // must be deterministic given their construction (a seeded generator is
 // fine: the virtual-clock simulator calls Pick in a deterministic event
 // order) and safe for concurrent use by the wall-clock Cluster. Pick
-// must not keep views, or modify them, after it returns.
+// must not modify the views, nor keep them after it returns.
 type Router interface {
 	// Name identifies the policy in reports ("least-loaded",
 	// "affinity", "p2c").

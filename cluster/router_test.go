@@ -3,6 +3,7 @@ package cluster
 import (
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,27 @@ func TestPowerOfTwoPickAllocatesNothing(t *testing.T) {
 	p := NewPowerOfTwo(5)
 	if allocs := testing.AllocsPerRun(100, func() { p.Pick("m", vs) }); allocs != 0 {
 		t.Errorf("Pick allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestPickLeavesViewsUnchanged: Pick must not modify the views. The
+// simulator writes each view's fixed fields once per run, so a router
+// that wrote one would corrupt every later pick.
+func TestPickLeavesViewsUnchanged(t *testing.T) {
+	vs := views(true, false, true, true, true)
+	for i := range vs {
+		vs[i].QueueDepth, vs[i].QueueLimit, vs[i].BusyGroups = 3*i, 64, i%2
+	}
+	want := slices.Clone(vs)
+	for _, r := range []Router{LeastLoaded{}, ModelAffinity{}, NewPowerOfTwo(1)} {
+		for _, model := range []string{"inception_v3", "resnet_18", ""} {
+			for range 8 {
+				r.Pick(model, vs)
+			}
+			if !slices.Equal(vs, want) {
+				t.Fatalf("%s: Pick(%q) changed the views to %+v", r.Name(), model, vs)
+			}
+		}
 	}
 }
 

@@ -64,13 +64,13 @@ type sim struct {
 	mix    []int // registry index of each Traffic.Models() name
 
 	nodes []*simNode
-	view  []NodeView // one per node, refreshed for every routing decision
+	view  []NodeView // one per node; its load fields refresh for every routing decision
 
 	events node.Events
 	now    time.Duration
 
 	gen      *node.Gen
-	observer *plan.DecayedMix // the offered mix joining nodes plan for
+	observer *plan.DecayedMix // the offered mix rejoining planned nodes plan for; nil if none can
 	tracer   *tracer
 	timeline *fleetTimeline
 
@@ -158,8 +158,15 @@ func Simulate(models []*neuralcache.Model, opts Options, load Load) (*Report, er
 			Drift:     o.Trace != nil,
 		}, &s.events, s)
 		s.nodes = append(s.nodes, n)
+		s.view[i] = NodeView{Index: i, Name: spec.Name, QueueLimit: spec.QueueDepth, Groups: spec.Replicas}
 	}
-	s.observer = plan.NewDecayedMix(len(models), plan.DefaultHalfLife)
+	// Only a planned node's cold rejoin reads the offered mix.
+	for _, ev := range o.Events {
+		if ev.Kind == JoinNode && o.Nodes[ev.Node].Plan {
+			s.observer = plan.NewDecayedMix(len(models), plan.DefaultHalfLife)
+			break
+		}
+	}
 	s.tracer = newTracer(o.Trace)
 	s.tracer.begin(o.Nodes)
 	if o.TimelineInterval > 0 {
@@ -285,24 +292,20 @@ func (s *sim) queued() int {
 	return d
 }
 
-// views refreshes the run's one view slice for a routing decision; the
-// router may read it only during Pick.
+// views refreshes the load fields of the run's one view slice for a
+// routing decision; the fixed fields were written once, when the run
+// began. The router may read the views only during Pick.
 func (s *sim) views() []NodeView {
 	for i, n := range s.nodes {
-		s.view[i] = NodeView{
-			Index:      i,
-			Name:       n.spec.Name,
-			Accepting:  n.state == stateLive,
-			QueueDepth: n.Depth(),
-			QueueLimit: n.spec.QueueDepth,
-			BusyGroups: n.BusyGroups(),
-			Groups:     n.spec.Replicas,
-		}
+		v := &s.view[i]
+		v.Accepting = n.state == stateLive
+		v.QueueDepth = n.Depth()
+		v.BusyGroups = n.BusyGroups()
 	}
 	return s.view
 }
 
-func (s *sim) onArrival(e node.Event) {
+func (s *sim) onArrival(e *node.Event) {
 	mi := e.Model
 	st := s.perModel[mi]
 	s.offered++
@@ -310,7 +313,9 @@ func (s *sim) onArrival(e node.Event) {
 	if s.offered == 1 {
 		s.firstArrival = s.now
 	}
-	s.observer.Add(mi, 1, s.now)
+	if s.observer != nil {
+		s.observer.Add(mi, 1, s.now)
+	}
 	views := s.views()
 	pick := s.router.Pick(s.names[mi], views)
 	switch {
@@ -338,7 +343,7 @@ func (s *sim) onArrival(e node.Event) {
 	s.arrive()
 }
 
-func (s *sim) onCompletion(e node.Event) error {
+func (s *sim) onCompletion(e *node.Event) error {
 	n := s.nodes[e.Node]
 	st := s.perModel[e.Model]
 	k := len(e.Arrivals)
@@ -366,7 +371,7 @@ func (s *sim) onCompletion(e node.Event) error {
 	return nil
 }
 
-func (s *sim) onLifecycle(e node.Event) error {
+func (s *sim) onLifecycle(e *node.Event) error {
 	n := s.nodes[e.Node]
 	switch kind := EventKind(e.Model); kind {
 	case KillNode:

@@ -428,6 +428,60 @@ func TestKilledPlannedNodeRejoinsCold(t *testing.T) {
 	}
 }
 
+// TestRejoinPlansFromObservedMix: a killed planned node that rejoins
+// plans from the offered mix the cluster observed, not from the launch
+// mix. The launch mix is nine parts Inception-v3 to one ResNet-18; then
+// every arrival asks for ResNet-18, and node 1 dies and rejoins well
+// after, so its pre-stage at launch stages mostly Inception-v3 and its
+// rejoin mostly ResNet-18, as its restage spans show.
+func TestRejoinPlansFromObservedMix(t *testing.T) {
+	models := testModels()[:2]
+	spec := NodeSpec{Plan: true}
+	join := 700 * time.Millisecond
+	tr := &obs.Trace{}
+	rep, err := Simulate(models, Options{
+		Nodes:  []NodeSpec{spec, spec},
+		Router: LeastLoaded{},
+		Events: []NodeEvent{
+			{At: 150 * time.Millisecond, Node: 1, Kind: KillNode},
+			{At: join, Node: 1, Kind: JoinNode},
+		},
+		Trace: tr,
+	}, Load{
+		Rate: 2000, Duration: 900 * time.Millisecond, Seed: 5, Poisson: true,
+		Mix: []serve.ModelShare{
+			{Model: "inception_v3", Weight: 0.9},
+			{Model: "resnet_18", Weight: 0.1},
+		},
+		MixSchedule: []serve.MixShift{
+			{At: 100 * time.Millisecond, Mix: []serve.ModelShare{{Model: "resnet_18", Weight: 1}}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	staged := map[float64]map[string]int{} // restages of node 1 by start time, per model
+	for _, e := range tr.Events() {
+		if e.Name == "restage" && e.Pid == 2 {
+			if staged[e.Ts] == nil {
+				staged[e.Ts] = map[string]int{}
+			}
+			staged[e.Ts][e.Args.Model]++
+		}
+	}
+	launch, rejoin := staged[0], staged[obs.Micros(join)]
+	if len(staged) != 2 {
+		t.Fatalf("node 1 restaged at %d instants, want launch and rejoin: %v", len(staged), staged)
+	}
+	if launch["inception_v3"] <= launch["resnet_18"] {
+		t.Errorf("launch pre-stage %v, want mostly inception_v3", launch)
+	}
+	if rejoin["resnet_18"] <= rejoin["inception_v3"] {
+		t.Errorf("rejoin restages %v, want mostly resnet_18 (the observed mix)", rejoin)
+	}
+}
+
 // TestPlannedNodeServesModelsAbsentFromLaunchMix: a planned node plans
 // over the launch mix, so a registered model with no share there must
 // still get a warm set, or the requests for it that arrive after a mix

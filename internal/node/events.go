@@ -34,12 +34,13 @@ type Event struct {
 // Events is a virtual clock's pending events: a binary min-heap on
 // (At, push order). The heap sifts small pointer-free slots; the events
 // themselves stay put, by value, in a slab of fixed-size blocks whose
-// popped slots are cleared and reused. Growing the slab moves no event,
-// and pushing allocates nothing once the heap has grown.
+// popped slots drop their batch slices and are reused. Growing the slab
+// moves no event, and pushing allocates nothing once the heap has grown.
 type Events struct {
 	h      []slot
 	blocks []*[eventBlock]Event // the slab
 	free   []int32              // vacant slab slots
+	popped int32                // 1 + the slot the last Pop returned; 0 before any
 	seq    uint64
 }
 
@@ -99,13 +100,18 @@ func (q *Events) Push(e Event) {
 // empty.
 func (q *Events) Next() time.Duration { return q.h[0].at }
 
-// Pop removes and returns the earliest event.
-func (q *Events) Pop() Event {
+// Pop removes the earliest event and returns it in place: the pointer
+// stays valid, and Push reuses its slot for no other event, until the
+// next Pop, which drops the event's batch slices for the collector and
+// frees the slot.
+func (q *Events) Pop() *Event {
+	if i := q.popped - 1; i >= 0 {
+		e := q.event(i)
+		e.Arrivals, e.Users, e.Keys = nil, nil, nil
+		q.free = append(q.free, i)
+	}
 	top, n := q.h[0], len(q.h)-1
-	p := q.event(top.i)
-	e := *p
-	*p = Event{} // drop the batch slices for the collector
-	q.free = append(q.free, top.i)
+	q.popped = top.i + 1
 	last := q.h[n]
 	q.h = q.h[:n]
 	if n > 0 {
@@ -126,5 +132,5 @@ func (q *Events) Pop() Event {
 		}
 		q.h[i] = last
 	}
-	return e
+	return q.event(top.i)
 }

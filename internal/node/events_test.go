@@ -13,7 +13,8 @@ import (
 // so ties abound. Every pop must be the head of a stable sort of the
 // pending events by time (time, then push order), Next must give its
 // time beforehand, and a popped completion must carry the arrivals and
-// keys it was pushed with, although slab slots are reused throughout.
+// keys it was pushed with, although slab slots are reused throughout;
+// it must still carry them after every Push up to the next Pop.
 func TestEventsInterleaved(t *testing.T) {
 	type pushed struct {
 		at       time.Duration
@@ -23,6 +24,12 @@ func TestEventsInterleaved(t *testing.T) {
 	}
 	var q Events
 	var pending []pushed // in push order
+	var last *Event      // the last Pop's event
+	var lastWant pushed
+	holds := func(e *Event, want pushed) bool {
+		return e.Model == want.id && e.At == want.at &&
+			slices.Equal(e.Arrivals, want.arrivals) && slices.Equal(e.Keys, want.keys)
+	}
 	rng := rand.New(rand.NewSource(21))
 	pops, maxPending := 0, 0
 	pop := func(op int) {
@@ -33,13 +40,11 @@ func TestEventsInterleaved(t *testing.T) {
 			t.Fatalf("op %d: Next %v, want %v", op, next, want.at)
 		}
 		e := q.Pop()
-		if e.Model != want.id || e.At != want.at {
-			t.Fatalf("op %d: popped event %d at %v, want %d at %v", op, e.Model, e.At, want.id, want.at)
+		if !holds(e, want) {
+			t.Fatalf("op %d: popped event %d at %v with arrivals %v keys %v, pushed %d at %v with %v and %v",
+				op, e.Model, e.At, e.Arrivals, e.Keys, want.id, want.at, want.arrivals, want.keys)
 		}
-		if !slices.Equal(e.Arrivals, want.arrivals) || !slices.Equal(e.Keys, want.keys) {
-			t.Fatalf("op %d: event %d carries arrivals %v keys %v, pushed %v and %v",
-				op, e.Model, e.Arrivals, e.Keys, want.arrivals, want.keys)
-		}
+		last, lastWant = e, want
 		pending = slices.DeleteFunc(pending, func(p pushed) bool { return p.id == want.id })
 		pops++
 	}
@@ -60,6 +65,9 @@ func TestEventsInterleaved(t *testing.T) {
 		q.Push(Event{At: p.at, Kind: Completion, Model: p.id,
 			Arrivals: slices.Clone(p.arrivals), Keys: slices.Clone(p.keys)})
 		pending = append(pending, p)
+		if last != nil && !holds(last, lastWant) {
+			t.Fatalf("op %d: a Push overwrote the last popped event %d", op, lastWant.id)
+		}
 		maxPending = max(maxPending, len(pending))
 		if q.Len() != len(pending) {
 			t.Fatalf("op %d: Len %d, want %d", op, q.Len(), len(pending))

@@ -1,7 +1,11 @@
 package node
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -50,5 +54,75 @@ func TestLatenciesSplit(t *testing.T) {
 		if !slices.Equal(perModel[2], wantModel[2]) || !slices.Equal(perNode[1], wantNode[1]) {
 			t.Error("sorting one run moved samples of another")
 		}
+	}
+}
+
+// FuzzRank holds Rank to a sort. Each input byte is one sample, so long
+// inputs repeat values heavily, as a report's front-cache hits all
+// record one latency. For every k, Rank must return the k-th sample of a
+// sorted copy, leave it at k with none larger before it and none smaller
+// after it, and only reorder the samples. The checked-in corpus holds
+// sorted, reversed, organ-pipe, all-equal, half-cache-hit and random
+// runs, and the adversary of TestRankFallsBackOnAdversary.
+func FuzzRank(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			t.Skip()
+		}
+		var count [256]int
+		samples := make([]time.Duration, len(data))
+		for i, b := range data {
+			samples[i] = time.Duration(b)
+			count[b]++
+		}
+		sorted := slices.Clone(samples)
+		slices.Sort(sorted)
+		a := make([]time.Duration, len(samples))
+		for k := range samples {
+			copy(a, samples)
+			if got := Rank(a, k); got != sorted[k] || a[k] != got {
+				t.Fatalf("k=%d: Rank = %v leaving %v at k, want %v", k, got, a[k], sorted[k])
+			}
+			left := count
+			for i, v := range a {
+				if i < k && v > a[k] || i > k && v < a[k] {
+					t.Fatalf("k=%d: sample %v at %d is on the wrong side of %v", k, v, i, a[k])
+				}
+				if left[v]--; left[v] < 0 {
+					t.Fatalf("k=%d: Rank made a sample %v", k, v)
+				}
+			}
+		}
+	})
+}
+
+// TestRankFallsBackOnAdversary: the corpus's adversary, built with
+// McIlroy's gas-and-solid method against Rank's median-of-three
+// partition, keeps the median's side nearly whole every round, so Rank
+// must end in its fallback sort, and still rank right.
+func TestRankFallsBackOnAdversary(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRank", "adversary"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil || len(data) != 64 {
+		t.Fatalf("adversary corpus: %d bytes, %v", len(data), err)
+	}
+	a := make([]time.Duration, len(data))
+	for i := range data {
+		a[i] = time.Duration(data[i])
+	}
+	k := len(a) / 2
+	if v, fell := rank(a, k); !fell || v != time.Duration(k) {
+		t.Fatalf("rank(adversary, %d) = %v, fallback %v; want %d from the fallback", k, v, fell, k)
+	}
+	// A scattered permutation of the same values finishes by selection.
+	for i := range a {
+		a[i] = time.Duration(i * 7919 % 64)
+	}
+	if _, fell := rank(a, k); fell {
+		t.Fatal("rank fell back on a scattered permutation")
 	}
 }

@@ -15,6 +15,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"neuralcache/plan"
@@ -68,6 +69,12 @@ type Config struct {
 	Users, Keys, Drift          bool
 }
 
+// Bounds of Node.settledUntil.
+const (
+	unsettled      = time.Duration(math.MinInt64)
+	settledForever = time.Duration(math.MaxInt64)
+)
+
 // Tally counts one model's warm and cold dispatches on a node.
 type Tally struct {
 	Warm, Cold int
@@ -89,6 +96,12 @@ type Node struct {
 	lastLinger time.Duration
 	ready      []int // dispatch candidates, reused across passes
 	epoch      int
+
+	// Dispatch passes before settledUntil do nothing: the last pass
+	// ended with nothing it could do, and nothing has changed the node
+	// since. It is that pass's earliest linger deadline, or
+	// settledForever when it had none; unsettled holds no pass back.
+	settledUntil time.Duration
 
 	ctrl *plan.Controller
 	plan *plan.Plan
@@ -144,13 +157,14 @@ func (c *chunk[T]) copy(src []T) []T {
 // to drv.
 func New(cfg Config, ev *Events, drv Driver) *Node {
 	return &Node{
-		groups:     NewGroups(cfg.Groups),
-		cfg:        cfg,
-		ev:         ev,
-		drv:        drv,
-		queues:     make([]queue, len(cfg.Names)),
-		lastLinger: -1,
-		Models:     make([]Tally, len(cfg.Names)),
+		groups:       NewGroups(cfg.Groups),
+		cfg:          cfg,
+		ev:           ev,
+		drv:          drv,
+		queues:       make([]queue, len(cfg.Names)),
+		lastLinger:   -1,
+		settledUntil: unsettled,
+		Models:       make([]Tally, len(cfg.Names)),
 	}
 }
 
@@ -182,6 +196,7 @@ func (n *Node) Enqueue(mi int, at time.Duration, user int, key uint64) {
 	if n.depth > n.maxDepth {
 		n.maxDepth = n.depth
 	}
+	n.settledUntil = unsettled
 }
 
 // Adopt installs plan p at time now: every pinned group begins staging
@@ -193,6 +208,7 @@ func (n *Node) Adopt(now time.Duration, p *plan.Plan, ctrl *plan.Controller) err
 		return err
 	}
 	n.plan, n.ctrl = p, ctrl
+	n.settledUntil = unsettled
 	for _, op := range n.groups.Adopt(pin) {
 		if err := n.restage(now, op); err != nil {
 			return err
@@ -211,11 +227,13 @@ func (n *Node) Reset() {
 	n.groups.Reset()
 	n.ctrl, n.plan = nil, nil
 	n.lastLinger = -1
+	n.settledUntil = unsettled
 }
 
 // Finish frees group g, whose batch or staging ended at now, or begins
 // the restage a re-plan left pending on it.
 func (n *Node) Finish(now time.Duration, g int) error {
+	n.settledUntil = unsettled
 	if op, ok := n.groups.Release(g); ok {
 		return n.restage(now, op)
 	}
@@ -228,7 +246,22 @@ func (n *Node) Finish(now time.Duration, g int) error {
 // any whose eligible groups are all busy (under a plan), so none
 // head-of-line-blocks the others. Then the earliest linger deadline is
 // scheduled.
+//
+// A pass that ends with nothing it can do (no queued request, no free
+// group, or no ready model that can claim one) settles the node: the
+// next Dispatch returns at once unless Enqueue, Finish, Adopt or Reset
+// has changed the node since, or now has reached that pass's earliest
+// linger deadline. Nothing else can change a pass's outcome: a failed
+// Claim changes nothing, and the settling pass pushed its deadline.
 func (n *Node) Dispatch(now time.Duration) error {
+	if now < n.settledUntil {
+		return nil
+	}
+	return n.pass(now)
+}
+
+// pass is one Dispatch pass over a node that may have work to do.
+func (n *Node) pass(now time.Duration) error {
 	for n.depth > 0 && n.groups.nfree > 0 {
 		deadline := time.Duration(-1)
 		n.ready = n.ready[:0]
@@ -266,12 +299,17 @@ func (n *Node) Dispatch(now time.Duration) error {
 				n.ev.Push(Event{At: deadline, Kind: Linger, Node: n.cfg.ID, Epoch: n.epoch})
 				n.lastLinger = deadline
 			}
+			n.settledUntil = settledForever
+			if deadline >= 0 {
+				n.settledUntil = deadline
+			}
 			return nil
 		}
 		if err := n.dispatch(now, mi, g, warm); err != nil {
 			return err
 		}
 	}
+	n.settledUntil = settledForever
 	return nil
 }
 

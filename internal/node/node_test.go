@@ -110,3 +110,92 @@ func TestAdoptRefusesStrandingPlan(t *testing.T) {
 		t.Fatalf("refused plan left plan %v and %d events", n.Plan(), ev.Len())
 	}
 }
+
+// newSettleNode returns a node over models a and b on the given groups,
+// dispatching batches of one, or of two after a 1 ms linger.
+func newSettleNode(groups, maxBatch int) (*Node, *Events, *recorder) {
+	var ev Events
+	rec := &recorder{}
+	n := New(Config{Name: "n", Names: []string{"a", "b"}, Pricer: flatPricer{}, Groups: groups,
+		GroupSize: 1, MaxBatch: maxBatch, Linger: time.Millisecond}, &ev, rec)
+	return n, &ev, rec
+}
+
+// TestSettledNodeWaitsForLinger: a node whose only head lingers settles
+// on its deadline. Passes before it dispatch nothing and push no second
+// linger event; the pass at the deadline dispatches.
+func TestSettledNodeWaitsForLinger(t *testing.T) {
+	n, ev, rec := newSettleNode(1, 2)
+	n.Enqueue(0, 0, -1, 0)
+	for _, now := range []time.Duration{0, 200 * time.Microsecond, 999 * time.Microsecond} {
+		if err := n.Dispatch(now); err != nil || len(rec.batches) != 0 || ev.Len() != 1 {
+			t.Fatalf("pass at %v: %d batches, %d events, %v; want none and the one linger", now, len(rec.batches), ev.Len(), err)
+		}
+	}
+	if err := n.Dispatch(time.Millisecond); err != nil || len(rec.batches) != 1 {
+		t.Fatalf("pass at the deadline dispatched %d batches (%v), want 1", len(rec.batches), err)
+	}
+}
+
+// TestFinishWakesSettledNode: a node with every group busy settles, and
+// the first pass after Finish dispatches.
+func TestFinishWakesSettledNode(t *testing.T) {
+	n, _, rec := newSettleNode(1, 1)
+	n.Enqueue(0, 0, -1, 0)
+	n.Enqueue(1, 0, -1, 0)
+	if err := n.Dispatch(0); err != nil || len(rec.batches) != 1 {
+		t.Fatalf("first pass dispatched %d batches (%v), want 1", len(rec.batches), err)
+	}
+	if err := n.Dispatch(time.Microsecond); err != nil || len(rec.batches) != 1 {
+		t.Fatalf("pass with no free group dispatched %d batches (%v)", len(rec.batches), err)
+	}
+	if err := n.Finish(time.Millisecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Dispatch(time.Millisecond); err != nil || len(rec.batches) != 2 || rec.batches[1].Model != 1 {
+		t.Fatalf("pass after Finish dispatched %+v (%v), want b second", rec.batches, err)
+	}
+}
+
+// TestEnqueueWakesSettledNode: an empty node settles, and the first pass
+// after Enqueue dispatches.
+func TestEnqueueWakesSettledNode(t *testing.T) {
+	n, _, rec := newSettleNode(1, 1)
+	if err := n.Dispatch(0); err != nil || len(rec.batches) != 0 {
+		t.Fatalf("empty node dispatched %d batches (%v)", len(rec.batches), err)
+	}
+	n.Enqueue(0, 0, -1, 0)
+	if err := n.Dispatch(0); err != nil || len(rec.batches) != 1 {
+		t.Fatalf("pass after Enqueue dispatched %d batches (%v), want 1", len(rec.batches), err)
+	}
+}
+
+// TestAdoptWakesSettledNode: a node whose ready model has no eligible
+// free group settles, and the first pass after Adopt claims under the
+// new pins.
+func TestAdoptWakesSettledNode(t *testing.T) {
+	n, _, rec := newSettleNode(2, 1)
+	pinned := &plan.Plan{GroupSize: 1, Groups: 2, Models: []plan.ModelPlan{
+		{Model: "a", Groups: []int{0}}, {Model: "b", Groups: []int{1}}}}
+	if err := n.Adopt(0, pinned, nil); err != nil {
+		t.Fatal(err)
+	}
+	now := 10 * time.Millisecond // both stagings done
+	for g := range 2 {
+		if err := n.Finish(now, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Enqueue(1, now, -1, 0)
+	n.Enqueue(1, now, -1, 0)
+	// b's one group takes the first; group 0 is a's alone.
+	if err := n.Dispatch(now); err != nil || len(rec.batches) != 1 || rec.batches[0].Group != 1 {
+		t.Fatalf("pinned pass dispatched %+v (%v), want one b batch on group 1", rec.batches, err)
+	}
+	if err := n.Adopt(now, &plan.Plan{GroupSize: 1, Groups: 2}, nil); err != nil { // all overflow
+		t.Fatal(err)
+	}
+	if err := n.Dispatch(now); err != nil || len(rec.batches) != 2 || rec.batches[1].Group != 0 {
+		t.Fatalf("pass after Adopt dispatched %+v (%v), want b's second batch on group 0", rec.batches, err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"neuralcache/internal/node"
 	"neuralcache/internal/report"
 	"neuralcache/obs"
 	"neuralcache/plan"
@@ -144,31 +145,30 @@ type LoadReport struct {
 // per-model breakdown from the raw samples; shared by Simulate and
 // LoadTest. perModel maps model names to their latency samples and may
 // be nil. Both callers hand over samples they no longer need, which
-// finish sorts in place. A zero window leaves throughput and
+// finish reorders in place: it ranks each percentile by selection
+// (node.Rank) and sorts no slice. A zero window leaves throughput and
 // utilization fields zero; empty latencies leave percentiles zero and
 // the histogram empty.
 func (r *LoadReport) finish(backend Backend, latencies []time.Duration, perModel map[string][]time.Duration, window time.Duration) error {
 	if err := r.capacity(backend); err != nil {
 		return err
 	}
-	slices.Sort(latencies)
 	if len(latencies) > 0 {
 		r.P50 = percentile(latencies, 0.50)
 		r.P90 = percentile(latencies, 0.90)
 		r.P95 = percentile(latencies, 0.95)
 		r.P99 = percentile(latencies, 0.99)
-		r.Max = latencies[len(latencies)-1]
+		r.Max = slices.Max(latencies)
 	}
 	r.Histogram = histogram(latencies)
 	for i := range r.PerModel {
 		mu := &r.PerModel[i]
 		lat := perModel[mu.Model]
-		slices.Sort(lat)
 		if len(lat) > 0 {
 			mu.P50 = percentile(lat, 0.50)
 			mu.P95 = percentile(lat, 0.95)
 			mu.P99 = percentile(lat, 0.99)
-			mu.Max = lat[len(lat)-1]
+			mu.Max = slices.Max(lat)
 		}
 		if window > 0 {
 			mu.ThroughputPerSec = float64(mu.Served) / window.Seconds()
@@ -230,20 +230,20 @@ func (r *LoadReport) capacity(backend Backend) error {
 	return nil
 }
 
-// percentile returns the nearest-rank q-th percentile of an ascending
-// sample set.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
+// percentile returns the nearest-rank q-th percentile of samples,
+// which it reorders (node.Rank).
+func percentile(samples []time.Duration, q float64) time.Duration {
+	if len(samples) == 0 {
 		return 0
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	idx := int(math.Ceil(q*float64(len(samples)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= len(samples) {
+		idx = len(samples) - 1
 	}
-	return sorted[idx]
+	return node.Rank(samples, idx)
 }
 
 // HistBucket is one power-of-two latency bucket: [Lo, Hi).
@@ -253,11 +253,11 @@ type HistBucket struct {
 	Count int           `json:"count"`
 }
 
-// histogram buckets latencies by power-of-two microseconds, including
-// empty buckets between the occupied extremes so bar charts read as a
-// contiguous distribution.
-func histogram(sorted []time.Duration) []HistBucket {
-	if len(sorted) == 0 {
+// histogram buckets latencies, in any order, by power-of-two
+// microseconds, including empty buckets between the occupied extremes
+// so bar charts read as a contiguous distribution.
+func histogram(latencies []time.Duration) []HistBucket {
+	if len(latencies) == 0 {
 		return nil
 	}
 	bucket := func(d time.Duration) int {
@@ -266,9 +266,9 @@ func histogram(sorted []time.Duration) []HistBucket {
 		}
 		return bits.Len64(uint64(d / time.Microsecond))
 	}
-	lo, hi := bucket(sorted[0]), bucket(sorted[len(sorted)-1])
+	lo, hi := bucket(slices.Min(latencies)), bucket(slices.Max(latencies))
 	counts := make([]int, hi-lo+1)
-	for _, d := range sorted {
+	for _, d := range latencies {
 		counts[bucket(d)-lo]++
 	}
 	out := make([]HistBucket, len(counts))

@@ -307,9 +307,9 @@ func Simulate(backend Backend, opts Options, load Load) (*LoadReport, error) {
 		s.now = e.At
 		switch e.Kind {
 		case node.Arrival:
-			s.onArrival(&e)
+			s.onArrival(e)
 		case node.Completion:
-			err = s.onCompletion(&e)
+			err = s.onCompletion(e)
 		case node.Restage:
 			err = s.node.Finish(s.now, e.Group)
 		}
